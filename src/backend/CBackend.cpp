@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Lowers a compiled BcModule to one self-contained C translation unit.
-// The emitted runtime (the kRuntime string below) is a transplant of
-// BytecodeVM.cpp's runtime into C: same value representation, same
-// diagnostics byte for byte, same tick placement, same limit checks in
-// the same order. Every instruction of every chunk becomes straight-line
+// The emitted runtime (the kRuntime string below) re-implements the
+// interpreters' shared runtime (interp/Runtime.h) in C: same value
+// representation, same diagnostics byte for byte, same tick placement,
+// same limit checks in the same order. It is kept as an independent
+// copy, so NativeDiffTest checks operator and builtin semantics too. Every instruction of every chunk becomes straight-line
 // C with operands, offsets, strides, conversions, counter addresses and
 // fall-through classification resolved at emission time; the dispatch
 // loop disappears into labels and gotos.
@@ -139,7 +140,8 @@ std::string dblLit(double D) {
 // The emitted runtime
 //===----------------------------------------------------------------------===//
 //
-// Everything below kRuntime mirrors BytecodeVM.cpp. Value kinds: 0=int,
+// Everything below kRuntime mirrors interp/Runtime.h and the VM's
+// dispatch (interp/bytecode/BytecodeVM.cpp). Value kinds: 0=int,
 // 1=double, 2=ptr, 3=fnptr; fn ids stand in for FunctionDecl pointers
 // (-1 = null). Address spaces: 0=null, 1=global, 2=stack, 3+K=heap
 // block K. All message text must stay byte-identical to the VM's.
@@ -593,7 +595,7 @@ static inline int rt_isspace(int c) {
 }
 static inline long long rt_read_int(rt *T) {
   int neg = 0, any = 0;
-  long long v = 0;
+  unsigned long long v = 0; /* unsigned: out-of-range input wraps */
   while (T->in_pos < T->prm.input_len &&
          rt_isspace((int)(unsigned char)T->prm.input[T->in_pos]))
     T->in_pos++;
@@ -605,15 +607,15 @@ static inline long long rt_read_int(rt *T) {
   while (T->in_pos < T->prm.input_len) {
     int c = (int)(unsigned char)T->prm.input[T->in_pos];
     if (c < '0' || c > '9') break;
-    v = v * 10 + (long long)(c - '0');
+    v = v * 10 + (unsigned long long)(c - '0');
     T->in_pos++;
     any = 1;
   }
   if (!any) return -1;
-  return neg ? -v : v;
+  return (long long)(neg ? 0 - v : v);
 }
 
-/* -- conversions (BytecodeVM::convert, one function per target shape) -- */
+/* -- conversions (Runtime::convert, one function per target shape) -- */
 static inline sv cv_int(sv v) { return sv_int(sv_as_int(v)); }
 static inline sv cv_dbl(sv v) { return sv_dbl(sv_as_double(v)); }
 static inline sv cv_pfn(sv v) {
@@ -628,7 +630,7 @@ static inline sv cv_pdata(sv v) {
   return v;
 }
 
-/* -- binary operators (BytecodeVM::applyBinary; op = BinaryOp int) -- */
+/* -- binary operators (Runtime::applyBinary; op = BinaryOp int) -- */
 sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
                         long long ls) {
   switch (op) {
@@ -670,10 +672,18 @@ sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
       rt_fail(T, "integer division by zero");
       return sv_int(0);
     }
+    if (sv_as_int(r) == -1 && sv_as_int(l) == -9223372036854775807LL - 1) {
+      rt_fail(T, "integer division overflow");
+      return sv_int(0);
+    }
     return sv_int(sv_as_int(l) / sv_as_int(r));
   case 4: /* Rem */
     if (sv_as_int(r) == 0) {
       rt_fail(T, "integer remainder by zero");
+      return sv_int(0);
+    }
+    if (sv_as_int(r) == -1 && sv_as_int(l) == -9223372036854775807LL - 1) {
+      rt_fail(T, "integer remainder overflow");
       return sv_int(0);
     }
     return sv_int(sv_as_int(l) % sv_as_int(r));
@@ -742,7 +752,7 @@ sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
   return sv_int(0);
 }
 
-/* -- builtins (BytecodeVM::doBuiltin; kind = BuiltinKind int) -- */
+/* -- builtins (Runtime::callBuiltin; kind = BuiltinKind int) -- */
 static inline sv rt_builtin(rt *T, int kind, const char *name,
                             long long argbase, long long nargs) {
   sv a0 = nargs > 0 ? T->regs[argbase] : sv_int(0);
@@ -1690,7 +1700,7 @@ void CEmitter::emitWrapper(const FunctionDecl *F, std::string &Out) {
 }
 
 bool CEmitter::emit(std::string &Out) {
-  // Mirror BytecodeVM::run's main checks up front; the host driver turns
+  // Mirror Runtime::run's main checks up front; the host driver turns
   // these into the VM's canned RunResults (fresh result, Error only).
   const FunctionDecl *Main = Unit.findFunction("main");
   if (!Main || !Main->isDefined())

@@ -6,212 +6,50 @@
 
 #include "interp/Interp.h"
 
+#include "interp/Runtime.h"
 #include "interp/bytecode/BytecodeCompiler.h"
 #include "interp/bytecode/BytecodeVM.h"
-#include "obs/Telemetry.h"
-#include "support/Prng.h"
-#include "support/StringUtils.h"
-
-#include <algorithm>
-#include <cassert>
-#include <cctype>
-#include <cmath>
 
 using namespace sest;
+using namespace sest::rt;
 
 namespace {
 
-/// A resolved memory location (one cell).
-struct Loc {
-  uint32_t Space = 0;
-  int64_t Offset = 0;
-};
-
-class Interpreter {
+/// The AST tree-walker: evaluates expressions recursively over the CFG's
+/// blocks. The runtime it executes against (memory, conversions,
+/// operators, builtins, accounting) is shared with the bytecode VM.
+class Interpreter final : public Runtime {
 public:
   Interpreter(const TranslationUnit &Unit, const CfgModule &Cfgs,
               const ProgramInput &Input, const InterpOptions &Options)
-      : Unit(Unit), Cfgs(Cfgs), Input(Input), Options(Options),
-        Rng(Input.RandSeed) {}
-
-  RunResult run();
+      : Runtime(Unit, Cfgs, Input, Options),
+        LayoutPos(layoutPositions(Unit, Cfgs, Options.Layout)) {}
 
 private:
-  void flushTelemetry() const;
-
-  //===--------------------------------------------------------------------===//
-  // Failure handling (no exceptions: a sticky flag short-circuits).
-  //===--------------------------------------------------------------------===//
-
-  Value fail(const std::string &Message) {
-    if (!Failed && !Exited) {
-      Failed = true;
-      ErrorMsg = Message;
-    }
-    return Value::makeInt(0);
-  }
-
-  /// A resource-limit abort: records which limit was hit and appends the
-  /// run's high-water marks to the diagnostic.
-  Value failLimit(RunLimit Limit, const std::string &Message) {
-    if (!Failed && !Exited) {
-      LimitHit = Limit;
-      fail(Message + " (" + usageSummary() + ")");
-    }
-    return Value::makeInt(0);
-  }
-
-  std::string usageSummary() const {
-    return "steps " + std::to_string(Steps) + ", call-depth high-water " +
-           std::to_string(CallDepthHighWater) + ", heap high-water " +
-           std::to_string(HeapHighWater) + " cells";
-  }
-
-  bool halted() const { return Failed || Exited; }
-
-  //===--------------------------------------------------------------------===//
-  // Memory
-  //===--------------------------------------------------------------------===//
-
-  struct HeapBlock {
-    std::vector<Value> Cells;
-    bool Freed = false;
-  };
-
-  Value *resolve(Loc L, const char *What) {
-    switch (L.Space) {
-    case static_cast<uint32_t>(MemSpace::Null):
-      fail(std::string("null pointer ") + What);
-      return nullptr;
-    case static_cast<uint32_t>(MemSpace::Global):
-      if (L.Offset < 0 || L.Offset >= static_cast<int64_t>(Globals.size())) {
-        fail(std::string("global ") + What + " out of bounds");
-        return nullptr;
-      }
-      return &Globals[L.Offset];
-    case static_cast<uint32_t>(MemSpace::Stack):
-      if (L.Offset < 0 || L.Offset >= static_cast<int64_t>(Stack.size())) {
-        fail(std::string("stack ") + What + " out of bounds");
-        return nullptr;
-      }
-      return &Stack[L.Offset];
-    default: {
-      size_t Idx = L.Space - static_cast<uint32_t>(MemSpace::HeapBase);
-      if (Idx >= Heap.size()) {
-        fail(std::string("wild pointer ") + What);
-        return nullptr;
-      }
-      HeapBlock &B = Heap[Idx];
-      if (B.Freed) {
-        fail(std::string("use-after-free ") + What);
-        return nullptr;
-      }
-      if (L.Offset < 0 || L.Offset >= static_cast<int64_t>(B.Cells.size())) {
-        fail(std::string("heap ") + What + " out of bounds");
-        return nullptr;
-      }
-      return &B.Cells[L.Offset];
-    }
-    }
-  }
-
-  Value loadCell(Loc L) {
-    Value *P = resolve(L, "read");
-    return P ? *P : Value::makeInt(0);
-  }
-  void storeCell(Loc L, Value V) {
-    if (Value *P = resolve(L, "write"))
-      *P = V;
-  }
-  /// Copies \p N cells from \p Src to \p Dst (struct assignment / struct
-  /// arguments).
-  void copyCells(Loc Dst, Loc Src, int64_t N) {
-    for (int64_t I = 0; I < N && !halted(); ++I) {
-      Value V = loadCell({Src.Space, Src.Offset + I});
-      storeCell({Dst.Space, Dst.Offset + I}, V);
-    }
-  }
-
-  Loc varLoc(const VarDecl *V) const {
-    if (V->storage() == StorageKind::Global)
-      return {static_cast<uint32_t>(MemSpace::Global), V->cellOffset()};
-    return {static_cast<uint32_t>(MemSpace::Stack),
-            FrameBase + V->cellOffset()};
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Conversions
-  //===--------------------------------------------------------------------===//
-
-  /// Converts \p V to the representation of static type \p Ty (assignment,
-  /// argument passing, return, cast).
-  Value convert(Value V, const Type *Ty) {
-    if (!Ty)
-      return V;
-    switch (Ty->kind()) {
-    case TypeKind::Int:
-    case TypeKind::Char:
-      return Value::makeInt(V.asInt());
-    case TypeKind::Double:
-      return Value::makeDouble(V.asDouble());
-    case TypeKind::Pointer: {
-      const Type *Pointee = typeCast<PointerType>(Ty)->pointee();
-      if (Pointee->isFunction()) {
-        if (V.isFnPtr())
-          return V;
-        if (V.isInt() && V.IntVal == 0)
-          return Value::makeFn(nullptr);
-        if (V.isPtr() && V.PtrVal.isNull())
-          return Value::makeFn(nullptr);
-        return V; // tolerated; call-through will diagnose
-      }
-      if (V.isPtr())
-        return V;
-      if (V.isInt())
-        return V.IntVal == 0
-                   ? Value::makeNull()
-                   : Value::makePtr(
-                         {static_cast<uint32_t>(MemSpace::Null), V.IntVal});
-      return V;
-    }
-    default:
-      return V;
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Cost / step accounting
-  //===--------------------------------------------------------------------===//
-
-  void tick() {
-    ++Steps;
-    if (CurSelfSteps)
-      ++*CurSelfSteps;
-    Cycles += CostFactor;
-    if (Steps > Options.MaxSteps)
-      failLimit(RunLimit::Steps,
-                "execution step limit exceeded (MaxSteps=" +
-                    std::to_string(Options.MaxSteps) + ")");
-  }
-
-  double factorFor(const FunctionDecl *F) const {
-    return Options.OptimizedFunctions.count(F) ? Options.OptimizedCostFactor
-                                               : 1.0;
+  void initGlobals() override;
+  Value callMain(const FunctionDecl *Main) override {
+    return callFunction(Main, {}, {}, std::vector<bool>(0));
   }
 
   //===--------------------------------------------------------------------===//
   // Expression evaluation
   //===--------------------------------------------------------------------===//
 
+  // evalUnary and evalOperator stay out of line: inlined into evalExpr
+  // they would grow every recursive evaluation frame and slow the walker.
   Value evalExpr(const Expr *E);
   Loc evalLValue(const Expr *E);
-  Value evalUnary(const UnaryExpr *E);
+  [[gnu::noinline]] Value evalUnary(const UnaryExpr *E);
   Value evalBinary(const BinaryExpr *E);
-  Value applyBinary(BinaryOp Op, Value L, Value R, const Expr *E,
-                    const Type *LhsTy);
   Value evalAssign(const AssignExpr *E);
   Value evalCall(const CallExpr *E);
-  Value evalBuiltin(const FunctionDecl *F, const std::vector<Value> &Args);
+
+  /// applyBinary with the pointer strides of \p ResultTy and \p LhsTy.
+  [[gnu::noinline]] Value evalOperator(BinaryOp Op, Value L, Value R,
+                                       const Type *ResultTy,
+                                       const Type *LhsTy) {
+    return applyBinary(Op, L, R, strideOf(ResultTy), strideOf(LhsTy));
+  }
 
   /// Pointer step size for arithmetic on \p PtrTy (cells per element).
   int64_t strideOf(const Type *PtrTy) {
@@ -228,122 +66,21 @@ private:
 
   void initVariable(const VarDecl *V);
   void fillInitializer(Loc Base, const Type *Ty, const Expr *Init);
-  void zeroCells(Loc Base, int64_t N) {
-    for (int64_t I = 0; I < N; ++I)
-      storeCell({Base.Space, Base.Offset + I}, Value::makeInt(0));
-  }
 
   Value callFunction(const FunctionDecl *F, const std::vector<Value> &Args,
                      const std::vector<std::pair<Loc, int64_t>> &StructArgs,
                      const std::vector<bool> &IsStructArg);
   Value executeBody(const FunctionDecl *F);
 
-  void setupGlobals();
-  Loc stringLoc(uint32_t StringId) const {
-    return {static_cast<uint32_t>(MemSpace::Global), StringBase[StringId]};
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Builtin helpers
-  //===--------------------------------------------------------------------===//
-
-  int readCharFromInput() {
-    if (InPos >= Input.Text.size())
-      return -1;
-    return static_cast<unsigned char>(Input.Text[InPos++]);
-  }
-  int64_t readIntFromInput() {
-    while (InPos < Input.Text.size() &&
-           std::isspace(static_cast<unsigned char>(Input.Text[InPos])))
-      ++InPos;
-    if (InPos >= Input.Text.size())
-      return -1;
-    bool Neg = false;
-    if (Input.Text[InPos] == '-') {
-      Neg = true;
-      ++InPos;
-    }
-    bool Any = false;
-    int64_t V = 0;
-    while (InPos < Input.Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Input.Text[InPos]))) {
-      V = V * 10 + (Input.Text[InPos] - '0');
-      ++InPos;
-      Any = true;
-    }
-    if (!Any)
-      return -1;
-    return Neg ? -V : V;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // State
-  //===--------------------------------------------------------------------===//
-
-  const TranslationUnit &Unit;
-  const CfgModule &Cfgs;
-  const ProgramInput &Input;
-  const InterpOptions &Options;
-
-  std::vector<Value> Globals;
-  std::vector<Value> Stack;
-  std::vector<HeapBlock> Heap;
-  int64_t HeapCellsUsed = 0;
-  int64_t HeapHighWater = 0;
-  std::vector<int64_t> StringBase;
-  int64_t FrameBase = 0;
-  unsigned CallDepth = 0;
-  unsigned CallDepthHighWater = 0;
-  RunLimit LimitHit = RunLimit::None;
-  /// Per-function self step counts (steps taken while the function's own
-  /// frame is active, excluding callees), indexed by function id.
-  std::vector<uint64_t> SelfSteps;
-  uint64_t *CurSelfSteps = nullptr;
-
   /// Block positions under the run's layout (see layoutPositions).
   std::vector<std::vector<uint32_t>> LayoutPos;
-  LayoutCostCounters LayoutCost;
-
-  Profile Prof;
-  std::string Output;
-
-  bool Failed = false;
-  bool Exited = false;
-  std::string ErrorMsg;
-  int64_t ExitVal = 0;
-
-  uint64_t Steps = 0;
-  double Cycles = 0;
-  double CostFactor = 1.0;
-
-  size_t InPos = 0;
-  Prng Rng;
-  /// Host-stack anchor captured at run() entry; see
-  /// InterpOptions::MaxHostStackBytes.
-  uintptr_t HostStackBase = 0;
 };
 
 //===----------------------------------------------------------------------===//
-// Globals and program startup
+// Variable initialization
 //===----------------------------------------------------------------------===//
 
-void Interpreter::setupGlobals() {
-  // Layout: [globals][string literals...], each string NUL-terminated.
-  int64_t Total = Unit.GlobalSizeCells;
-  StringBase.resize(Unit.StringTable.size());
-  for (size_t I = 0; I < Unit.StringTable.size(); ++I) {
-    StringBase[I] = Total;
-    Total += static_cast<int64_t>(Unit.StringTable[I].size()) + 1;
-  }
-  Globals.assign(Total, Value::makeInt(0));
-  for (size_t I = 0; I < Unit.StringTable.size(); ++I) {
-    const std::string &S = Unit.StringTable[I];
-    for (size_t J = 0; J < S.size(); ++J)
-      Globals[StringBase[I] + J] =
-          Value::makeInt(static_cast<unsigned char>(S[J]));
-    // Trailing cell is already zero (NUL).
-  }
-
+void Interpreter::initGlobals() {
   // Initializers run in declaration order (sema rejected calls in them).
   for (const VarDecl *G : Unit.Globals) {
     if (halted())
@@ -354,91 +91,6 @@ void Interpreter::setupGlobals() {
       fillInitializer(varLoc(G), G->type(), G->init());
   }
 }
-
-RunResult Interpreter::run() {
-  obs::ScopedPhase Phase("interp.run", Input.Name);
-  // Size the profile.
-  Prof.ProgramName = Unit.Functions.empty() ? "" : "program";
-  Prof.InputName = Input.Name;
-  Prof.Functions.resize(Unit.Functions.size());
-  SelfSteps.assign(Unit.Functions.size(), 0);
-  for (const auto &[F, G] : Cfgs.all()) {
-    FunctionProfile &FP = Prof.Functions[F->functionId()];
-    FP.BlockCounts.assign(G->size(), 0.0);
-    FP.ArcCounts.resize(G->size());
-    for (const auto &B : G->blocks())
-      FP.ArcCounts[B->id()].assign(B->successors().size(), 0.0);
-  }
-  Prof.CallSiteCounts.assign(Unit.NumCallSites, 0.0);
-  LayoutPos = layoutPositions(Unit, Cfgs, Options.Layout);
-
-  char HostStackAnchor;
-  HostStackBase = reinterpret_cast<uintptr_t>(&HostStackAnchor);
-
-  setupGlobals();
-
-  RunResult R;
-  const FunctionDecl *Main = Unit.findFunction("main");
-  if (!Main || !Main->isDefined()) {
-    R.Error = "program has no main function";
-    return R;
-  }
-  if (!Main->params().empty()) {
-    R.Error = "main must take no parameters";
-    return R;
-  }
-
-  Value Ret;
-  if (!halted())
-    Ret = callFunction(Main, {}, {}, std::vector<bool>(0));
-
-  R.Ok = !Failed;
-  R.Error = ErrorMsg;
-  R.ExitCode = Exited ? ExitVal : Ret.asInt();
-  R.Output = std::move(Output);
-  Prof.TotalCycles = Cycles;
-  R.TheProfile = std::move(Prof);
-  R.LimitHit = LimitHit;
-  R.StepsExecuted = Steps;
-  R.HeapCellsHighWater = HeapHighWater;
-  R.CallDepthHighWater = CallDepthHighWater;
-  R.LayoutCost = LayoutCost;
-  flushTelemetry();
-  return R;
-}
-
-/// One-shot flush of the run's accumulated resource usage into the
-/// ambient telemetry context. The hot loop only touches plain members;
-/// all counter traffic happens here.
-void Interpreter::flushTelemetry() const {
-  if (!obs::telemetryActive())
-    return;
-  obs::counterAdd("interp.runs");
-  obs::counterAdd("interp.steps.executed", static_cast<double>(Steps));
-  obs::gaugeMax("interp.heap_cells.high_water",
-                static_cast<double>(HeapHighWater));
-  obs::gaugeMax("interp.call_depth.high_water",
-                static_cast<double>(CallDepthHighWater));
-  if (LimitHit != RunLimit::None)
-    obs::counterAdd(std::string("interp.limit_hit.") +
-                    runLimitName(LimitHit));
-  obs::counterAdd("interp.layout.fall_through",
-                  static_cast<double>(LayoutCost.FallThrough));
-  obs::counterAdd("interp.layout.taken",
-                  static_cast<double>(LayoutCost.Taken));
-  obs::counterAdd("interp.layout.calls",
-                  static_cast<double>(LayoutCost.Calls));
-  obs::counterAdd("interp.layout.returns",
-                  static_cast<double>(LayoutCost.Returns));
-  for (size_t F = 0; F < SelfSteps.size(); ++F)
-    if (SelfSteps[F])
-      obs::counterAdd("interp.fn_self_steps." + Unit.Functions[F]->name(),
-                      static_cast<double>(SelfSteps[F]));
-}
-
-//===----------------------------------------------------------------------===//
-// Variable initialization
-//===----------------------------------------------------------------------===//
 
 void Interpreter::fillInitializer(Loc Base, const Type *Ty,
                                   const Expr *Init) {
@@ -501,44 +153,9 @@ Value Interpreter::callFunction(
     const FunctionDecl *F, const std::vector<Value> &Args,
     const std::vector<std::pair<Loc, int64_t>> &StructArgs,
     const std::vector<bool> &IsStructArg) {
-  if (CallDepth >= Options.MaxCallDepth)
-    return failLimit(RunLimit::CallDepth,
-                     "call depth limit exceeded in '" + F->name() +
-                         "' (MaxCallDepth=" +
-                         std::to_string(Options.MaxCallDepth) + ")");
-  // The interpreter recurses on the host stack (callFunction ->
-  // executeBody -> evalExpr -> callFunction); on large-frame builds the
-  // host stack can overflow long before MaxCallDepth, so budget it
-  // directly.
-  char HostStackProbe;
-  uintptr_t Here = reinterpret_cast<uintptr_t>(&HostStackProbe);
-  size_t Used = HostStackBase > Here ? HostStackBase - Here
-                                     : Here - HostStackBase;
-  if (Used > Options.MaxHostStackBytes)
-    return failLimit(RunLimit::HostStack,
-                     "call depth limit exceeded in '" + F->name() +
-                         "' (host stack budget, MaxHostStackBytes=" +
-                         std::to_string(Options.MaxHostStackBytes) + ")");
-  const Cfg *G = Cfgs.cfg(F);
-  if (!G)
-    return fail("call to undefined function '" + F->name() + "'");
-
-  Prof.Functions[F->functionId()].EntryCount += 1;
-  ++LayoutCost.Calls;
-
-  int64_t SavedBase = FrameBase;
-  double SavedFactor = CostFactor;
-  uint64_t *SavedSelf = CurSelfSteps;
-  FrameBase = static_cast<int64_t>(Stack.size());
-  if (Stack.size() + F->frameSizeCells() > (1u << 24))
-    return failLimit(RunLimit::HostFrame,
-                     "stack overflow in '" + F->name() + "'");
-  Stack.resize(Stack.size() + F->frameSizeCells(), Value::makeInt(0));
-  CostFactor = factorFor(F);
-  if (F->functionId() < SelfSteps.size())
-    CurSelfSteps = &SelfSteps[F->functionId()];
-  ++CallDepth;
-  CallDepthHighWater = std::max(CallDepthHighWater, CallDepth);
+  SavedFrame Saved;
+  if (!enterFrame(F, Cfgs.cfg(F) != nullptr, Saved))
+    return Value::makeInt(0);
 
   // Bind parameters.
   size_t ScalarIdx = 0, StructIdx = 0;
@@ -554,12 +171,7 @@ Value Interpreter::callFunction(
   }
 
   Value Ret = executeBody(F);
-
-  --CallDepth;
-  CostFactor = SavedFactor;
-  CurSelfSteps = SavedSelf;
-  Stack.resize(FrameBase);
-  FrameBase = SavedBase;
+  leaveFrame(Saved);
   return Ret;
 }
 
@@ -732,7 +344,7 @@ Loc Interpreter::evalLValue(const Expr *E) {
       fail("dereference of non-pointer value");
       return {};
     }
-    return {P.PtrVal.Space, P.PtrVal.Offset};
+    return locOf(P);
   }
   case ExprKind::Index: {
     const auto *I = exprCast<IndexExpr>(E);
@@ -787,7 +399,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     if (E->type() && (E->type()->isArray() || E->type()->isStruct() ||
                       E->type()->isFunction()))
       return P;
-    return loadCell({P.PtrVal.Space, P.PtrVal.Offset});
+    return loadCell(locOf(P));
   }
   case UnaryOp::AddrOf: {
     // &function
@@ -841,141 +453,6 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
   return Value::makeInt(0);
 }
 
-Value Interpreter::applyBinary(BinaryOp Op, Value L, Value R, const Expr *E,
-                               const Type *LhsTy) {
-  switch (Op) {
-  case BinaryOp::Add: {
-    if (L.isPtr() || R.isPtr()) {
-      Value P = L.isPtr() ? L : R;
-      Value N = L.isPtr() ? R : L;
-      int64_t Stride = strideOf(E->type());
-      RuntimePtr Out = P.PtrVal;
-      Out.Offset += N.asInt() * Stride;
-      return Value::makePtr(Out);
-    }
-    if (L.isDouble() || R.isDouble())
-      return Value::makeDouble(L.asDouble() + R.asDouble());
-    return Value::makeInt(L.asInt() + R.asInt());
-  }
-  case BinaryOp::Sub: {
-    if (L.isPtr() && R.isPtr()) {
-      if (L.PtrVal.Space != R.PtrVal.Space)
-        return fail("subtracting pointers into different objects");
-      int64_t Stride = strideOf(LhsTy);
-      return Value::makeInt((L.PtrVal.Offset - R.PtrVal.Offset) / Stride);
-    }
-    if (L.isPtr()) {
-      int64_t Stride = strideOf(E->type());
-      RuntimePtr Out = L.PtrVal;
-      Out.Offset -= R.asInt() * Stride;
-      return Value::makePtr(Out);
-    }
-    if (L.isDouble() || R.isDouble())
-      return Value::makeDouble(L.asDouble() - R.asDouble());
-    return Value::makeInt(L.asInt() - R.asInt());
-  }
-  case BinaryOp::Mul:
-    if (L.isDouble() || R.isDouble())
-      return Value::makeDouble(L.asDouble() * R.asDouble());
-    return Value::makeInt(L.asInt() * R.asInt());
-  case BinaryOp::Div:
-    if (L.isDouble() || R.isDouble()) {
-      double D = R.asDouble();
-      if (D == 0.0)
-        return fail("floating division by zero");
-      return Value::makeDouble(L.asDouble() / D);
-    }
-    if (R.asInt() == 0)
-      return fail("integer division by zero");
-    return Value::makeInt(L.asInt() / R.asInt());
-  case BinaryOp::Rem:
-    if (R.asInt() == 0)
-      return fail("integer remainder by zero");
-    return Value::makeInt(L.asInt() % R.asInt());
-  case BinaryOp::Shl: {
-    int64_t Sh = R.asInt();
-    if (Sh < 0 || Sh > 63)
-      return fail("shift amount out of range");
-    return Value::makeInt(static_cast<int64_t>(
-        static_cast<uint64_t>(L.asInt()) << Sh));
-  }
-  case BinaryOp::Shr: {
-    int64_t Sh = R.asInt();
-    if (Sh < 0 || Sh > 63)
-      return fail("shift amount out of range");
-    return Value::makeInt(L.asInt() >> Sh);
-  }
-  case BinaryOp::BitAnd:
-    return Value::makeInt(L.asInt() & R.asInt());
-  case BinaryOp::BitOr:
-    return Value::makeInt(L.asInt() | R.asInt());
-  case BinaryOp::BitXor:
-    return Value::makeInt(L.asInt() ^ R.asInt());
-  case BinaryOp::Lt:
-  case BinaryOp::Gt:
-  case BinaryOp::Le:
-  case BinaryOp::Ge: {
-    double Cmp;
-    if (L.isPtr() && R.isPtr()) {
-      if (L.PtrVal.Space != R.PtrVal.Space)
-        Cmp = L.PtrVal.Space < R.PtrVal.Space ? -1 : 1;
-      else
-        Cmp = L.PtrVal.Offset < R.PtrVal.Offset
-                  ? -1
-                  : (L.PtrVal.Offset > R.PtrVal.Offset ? 1 : 0);
-    } else if (L.isDouble() || R.isDouble()) {
-      double A = L.asDouble(), B = R.asDouble();
-      Cmp = A < B ? -1 : (A > B ? 1 : 0);
-    } else {
-      int64_t A = L.asInt(), B = R.asInt();
-      Cmp = A < B ? -1 : (A > B ? 1 : 0);
-    }
-    bool Result = false;
-    switch (Op) {
-    case BinaryOp::Lt:
-      Result = Cmp < 0;
-      break;
-    case BinaryOp::Gt:
-      Result = Cmp > 0;
-      break;
-    case BinaryOp::Le:
-      Result = Cmp <= 0;
-      break;
-    case BinaryOp::Ge:
-      Result = Cmp >= 0;
-      break;
-    default:
-      break;
-    }
-    return Value::makeInt(Result ? 1 : 0);
-  }
-  case BinaryOp::Eq:
-  case BinaryOp::Ne: {
-    bool Equal;
-    if (L.isPtr() && R.isPtr())
-      Equal = L.PtrVal == R.PtrVal;
-    else if (L.isFnPtr() || R.isFnPtr())
-      Equal = L.isFnPtr() && R.isFnPtr() ? L.FnVal == R.FnVal
-              : (L.isFnPtr() ? L.FnVal == nullptr && !R.isTruthy()
-                             : R.FnVal == nullptr && !L.isTruthy());
-    else if (L.isPtr() || R.isPtr()) {
-      // Pointer vs integer: equal iff both are "null-ish zero".
-      const Value &P = L.isPtr() ? L : R;
-      const Value &N = L.isPtr() ? R : L;
-      Equal = P.PtrVal.isNull() && N.asInt() == 0;
-    } else if (L.isDouble() || R.isDouble())
-      Equal = L.asDouble() == R.asDouble();
-    else
-      Equal = L.asInt() == R.asInt();
-    return Value::makeInt((Op == BinaryOp::Eq) == Equal ? 1 : 0);
-  }
-  case BinaryOp::LogicalAnd:
-  case BinaryOp::LogicalOr:
-    break; // handled by evalBinary
-  }
-  return Value::makeInt(0);
-}
-
 Value Interpreter::evalBinary(const BinaryExpr *E) {
   if (E->op() == BinaryOp::LogicalAnd) {
     Value L = evalExpr(E->lhs());
@@ -995,7 +472,7 @@ Value Interpreter::evalBinary(const BinaryExpr *E) {
   Value R = evalExpr(E->rhs());
   if (halted())
     return Value::makeInt(0);
-  return applyBinary(E->op(), L, R, E, E->lhs()->type());
+  return evalOperator(E->op(), L, R, E->type(), E->lhs()->type());
 }
 
 Value Interpreter::evalAssign(const AssignExpr *E) {
@@ -1009,8 +486,7 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
       return Value::makeInt(0);
     if (!Src.isPtr())
       return fail("struct assignment from non-aggregate value");
-    copyCells(Dst, {Src.PtrVal.Space, Src.PtrVal.Offset},
-              LhsTy->sizeInCells());
+    copyCells(Dst, locOf(Src), LhsTy->sizeInCells());
     return Value::makePtr({Dst.Space, Dst.Offset});
   }
 
@@ -1024,10 +500,9 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
     Value R = evalExpr(E->rhs());
     if (halted())
       return Value::makeInt(0);
-    // For "p += n", pointer stride comes from the LHS type.
-    V = applyBinary(*E->compoundOp(), Old, R, E, LhsTy);
-    // applyBinary uses E->type() for pointer strides; E->type() here is the
-    // assignment's type == LHS type, so strides are correct.
+    // For "p += n", pointer stride comes from the LHS type; E->type() is
+    // the assignment's type == LHS type.
+    V = evalOperator(*E->compoundOp(), Old, R, E->type(), LhsTy);
   } else {
     V = evalExpr(E->rhs());
   }
@@ -1070,8 +545,7 @@ Value Interpreter::evalCall(const CallExpr *E) {
         return Value::makeInt(0);
       if (!Src.isPtr())
         return fail("struct argument is not an aggregate");
-      StructArgs.push_back(
-          {{Src.PtrVal.Space, Src.PtrVal.Offset}, PTy->sizeInCells()});
+      StructArgs.push_back({locOf(Src), PTy->sizeInCells()});
       IsStructArg[I] = true;
     } else {
       Args.push_back(evalExpr(E->args()[I]));
@@ -1081,104 +555,8 @@ Value Interpreter::evalCall(const CallExpr *E) {
   }
 
   if (Callee->isBuiltin())
-    return evalBuiltin(Callee, Args);
+    return callBuiltin(Callee, Args.data(), Args.size());
   return callFunction(Callee, Args, StructArgs, IsStructArg);
-}
-
-Value Interpreter::evalBuiltin(const FunctionDecl *F,
-                               const std::vector<Value> &Args) {
-  switch (F->builtin()) {
-  case BuiltinKind::PrintInt:
-    Output += std::to_string(Args[0].asInt());
-    return Value::makeInt(0);
-  case BuiltinKind::PrintChar:
-    Output += static_cast<char>(Args[0].asInt());
-    return Value::makeInt(0);
-  case BuiltinKind::PrintStr: {
-    if (!Args[0].isPtr())
-      return fail("print_str expects a string pointer");
-    RuntimePtr P = Args[0].PtrVal;
-    for (int64_t I = 0; I < (1 << 20); ++I) {
-      Value C = loadCell({P.Space, P.Offset + I});
-      if (halted())
-        return Value::makeInt(0);
-      int64_t Ch = C.asInt();
-      if (Ch == 0)
-        return Value::makeInt(0);
-      Output += static_cast<char>(Ch);
-    }
-    return fail("unterminated string passed to print_str");
-  }
-  case BuiltinKind::PrintDouble: {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6g", Args[0].asDouble());
-    Output += Buf;
-    return Value::makeInt(0);
-  }
-  case BuiltinKind::ReadInt:
-    return Value::makeInt(readIntFromInput());
-  case BuiltinKind::ReadChar:
-    return Value::makeInt(readCharFromInput());
-  case BuiltinKind::Malloc: {
-    int64_t N = Args[0].asInt();
-    if (N <= 0)
-      return Value::makeNull();
-    if (HeapCellsUsed + N > Options.MaxHeapCells)
-      return failLimit(RunLimit::HeapCells,
-                       "heap limit exceeded (MaxHeapCells=" +
-                           std::to_string(Options.MaxHeapCells) + ")");
-    HeapCellsUsed += N;
-    HeapHighWater = std::max(HeapHighWater, HeapCellsUsed);
-    Heap.push_back(HeapBlock{std::vector<Value>(N, Value::makeInt(0)),
-                             false});
-    return Value::makePtr(
-        {static_cast<uint32_t>(MemSpace::HeapBase) +
-             static_cast<uint32_t>(Heap.size() - 1),
-         0});
-  }
-  case BuiltinKind::Free: {
-    if (!Args[0].isPtr())
-      return fail("free of a non-pointer value");
-    RuntimePtr P = Args[0].PtrVal;
-    if (P.isNull())
-      return Value::makeInt(0);
-    size_t Idx = P.Space - static_cast<uint32_t>(MemSpace::HeapBase);
-    if (P.Space < static_cast<uint32_t>(MemSpace::HeapBase) ||
-        Idx >= Heap.size() || P.Offset != 0)
-      return fail("free of a non-heap pointer");
-    if (Heap[Idx].Freed)
-      return fail("double free");
-    HeapCellsUsed -= static_cast<int64_t>(Heap[Idx].Cells.size());
-    Heap[Idx].Freed = true;
-    Heap[Idx].Cells.clear();
-    Heap[Idx].Cells.shrink_to_fit();
-    return Value::makeInt(0);
-  }
-  case BuiltinKind::Abort:
-    return fail("abort() called");
-  case BuiltinKind::Exit:
-    Exited = true;
-    ExitVal = Args[0].asInt();
-    return Value::makeInt(0);
-  case BuiltinKind::Rand:
-    return Value::makeInt(static_cast<int64_t>(Rng.next() >> 33));
-  case BuiltinKind::Srand:
-    Rng = Prng(static_cast<uint64_t>(Args[0].asInt()));
-    return Value::makeInt(0);
-  case BuiltinKind::Sqrt: {
-    double D = Args[0].asDouble();
-    if (D < 0)
-      return fail("sqrt of a negative number");
-    return Value::makeDouble(std::sqrt(D));
-  }
-  case BuiltinKind::Fabs:
-    return Value::makeDouble(std::fabs(Args[0].asDouble()));
-  case BuiltinKind::Floor:
-    return Value::makeDouble(std::floor(Args[0].asDouble()));
-  case BuiltinKind::None:
-    break;
-  }
-  return fail("unknown builtin '" + F->name() + "'");
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "lang/ConstFold.h"
 
 #include <cmath>
+#include <limits>
 
 using namespace sest;
 
@@ -28,6 +29,11 @@ static std::optional<ConstValue> foldUnary(const UnaryExpr *U) {
   default:
     return std::nullopt; // Deref/AddrOf/inc/dec touch memory.
   }
+}
+
+/// INT64_MIN / -1 (and its remainder) does not fit in 64 bits.
+static bool isQuotientOverflow(const ConstValue &L, const ConstValue &R) {
+  return R.IntVal == -1 && L.IntVal == std::numeric_limits<int64_t>::min();
 }
 
 static std::optional<ConstValue> foldBinary(const BinaryExpr *B) {
@@ -70,11 +76,12 @@ static std::optional<ConstValue> foldBinary(const BinaryExpr *B) {
   case BinaryOp::Div:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() / R->asDouble());
-    if (R->IntVal == 0)
+    // Zero divisors and INT64_MIN / -1 fail at run time; leave them to it.
+    if (R->IntVal == 0 || isQuotientOverflow(*L, *R))
       return std::nullopt;
     return ConstValue::makeInt(L->IntVal / R->IntVal);
   case BinaryOp::Rem:
-    if (AnyDouble || R->IntVal == 0)
+    if (AnyDouble || R->IntVal == 0 || isQuotientOverflow(*L, *R))
       return std::nullopt;
     return ConstValue::makeInt(L->IntVal % R->IntVal);
   case BinaryOp::Shl:

@@ -161,6 +161,17 @@ TEST(BranchPredictor, ConstantConditionFlagged) {
   EXPECT_EQ(P.ProbTrue, 1.0);
 }
 
+// INT64_MIN / -1 would trap if folded; the predictor must treat the
+// condition as non-constant rather than crash.
+TEST(BranchPredictor, OverflowingDivisionIsNotConstant) {
+  for (const char *Op : {"/", "%"}) {
+    BranchPrediction P = predictSingleIf(
+        std::string("int f(int x) { if ((-9223372036854775807 - 1) ") + Op +
+        " -1) return 1; return x; }\nint main() { return f(1); }");
+    EXPECT_FALSE(P.ConstantCondition) << Op;
+  }
+}
+
 TEST(BranchPredictor, LoopConditionGetsLoopModelProbability) {
   auto C = compile("int f(int n) { int s = 0;\n"
                    "  while (n > 0) { s += n; n--; }\n"

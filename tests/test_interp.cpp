@@ -6,12 +6,54 @@
 
 #include "TestUtil.h"
 
+#include "backend/Native.h"
+
 #include <gtest/gtest.h>
 
 using namespace sest;
 using namespace sest::test;
 
 namespace {
+
+/// The engines the runtime tests cover: the walker, the bytecode VM, and
+/// the native tier where this host can build it (NativeDiffTest skips the
+/// same way).
+std::vector<InterpEngine> testEngines() {
+  std::vector<InterpEngine> Engines = {InterpEngine::Ast,
+                                       InterpEngine::Bytecode};
+  if (backend::nativeEngineAvailable())
+    Engines.push_back(InterpEngine::Native);
+  return Engines;
+}
+
+/// Runs \p Source on \p InputText under every engine and requires each
+/// run's Ok, Error, ExitCode, StepsExecuted and Output to equal the
+/// walker's byte for byte. Returns the walker's result.
+RunResult runOnEveryEngine(const std::string &Source,
+                           const std::string &InputText = "") {
+  auto C = compile(Source);
+  if (!C)
+    return {};
+  ProgramInput In;
+  In.Text = InputText;
+  RunResult Walker;
+  for (InterpEngine Engine : testEngines()) {
+    InterpOptions Opts;
+    Opts.Engine = Engine;
+    RunResult R = runProgram(C->unit(), *C->Cfgs, In, Opts);
+    if (Engine == InterpEngine::Ast) {
+      Walker = R;
+      continue;
+    }
+    const char *Name = interpEngineName(Engine);
+    EXPECT_EQ(R.Ok, Walker.Ok) << Name;
+    EXPECT_EQ(R.Error, Walker.Error) << Name;
+    EXPECT_EQ(R.ExitCode, Walker.ExitCode) << Name;
+    EXPECT_EQ(R.StepsExecuted, Walker.StepsExecuted) << Name;
+    EXPECT_EQ(R.Output, Walker.Output) << Name;
+  }
+  return Walker;
+}
 
 TEST(Interp, ReturnsMainExitCode) {
   EXPECT_EQ(compileAndRun("int main() { return 42; }").ExitCode, 42);
@@ -201,6 +243,17 @@ TEST(Interp, InputBuiltins) {
   EXPECT_EQ(R.ExitCode, 731);
 }
 
+// read_int accumulates out-of-range input modulo 2^64 (defined
+// behaviour, not signed overflow), identically on every engine.
+TEST(Interp, ReadIntWrapsOutOfRangeInput) {
+  RunResult R = runOnEveryEngine(
+      "int main() { print_int(read_int()); print_char(' ');\n"
+      "  print_int(read_int()); return 0; }",
+      "99999999999999999999999 -99999999999999999999999");
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, "200376420520689663 -200376420520689663");
+}
+
 TEST(Interp, RandIsDeterministicPerSeed) {
   const char *Src = "int main() { srand(7); return rand() % 1000; }";
   RunResult A = compileAndRun(Src);
@@ -266,16 +319,14 @@ TEST(Interp, LocalDeclReinitializedEachIteration) {
 }
 
 //===----------------------------------------------------------------------===//
-// Runtime error detection
+// Runtime error detection, on every engine
 //===----------------------------------------------------------------------===//
 
+/// Every engine must fail \p Source with the same diagnostic, which
+/// contains \p Needle.
 RunResult runExpectError(const std::string &Source,
                          const std::string &Needle) {
-  auto C = compile(Source);
-  if (!C)
-    return {};
-  ProgramInput In;
-  RunResult R = runProgram(C->unit(), *C->Cfgs, In);
+  RunResult R = runOnEveryEngine(Source);
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find(Needle), std::string::npos) << R.Error;
   return R;
@@ -309,6 +360,90 @@ TEST(InterpErrors, DivisionByZero) {
 
 TEST(InterpErrors, AbortReportsError) {
   runExpectError("int main() { abort(); return 0; }", "abort");
+}
+
+TEST(InterpErrors, FloatingDivisionByZero) {
+  RunResult R = runExpectError(
+      "int main() { double z = 0.0; print_int(1); return (int)(1.0 / z); }",
+      "floating division by zero");
+  EXPECT_EQ(R.Output, "1");
+}
+
+TEST(InterpErrors, RemainderByZero) {
+  runExpectError("int main() { int z = 0; print_int(2); return 7 % z; }",
+                 "integer remainder by zero");
+}
+
+// INT64_MIN / -1 traps in host division; the runtime must catch it.
+TEST(InterpErrors, DivisionOverflow) {
+  runExpectError("int main() { int a = -9223372036854775807 - 1;\n"
+                 "  int b = -1; print_int(a / b); return 0; }",
+                 "integer division overflow");
+}
+
+TEST(InterpErrors, RemainderOverflow) {
+  runExpectError("int main() { int a = -9223372036854775807 - 1;\n"
+                 "  int b = -1; print_int(a % b); return 0; }",
+                 "integer remainder overflow");
+}
+
+TEST(InterpErrors, ShiftAmountOutOfRange) {
+  runExpectError("int main() { int s = 64; return 1 << s; }",
+                 "shift amount out of range");
+  runExpectError("int main() { int s = -1; return 8 >> s; }",
+                 "shift amount out of range");
+}
+
+TEST(InterpErrors, SqrtOfNegative) {
+  runExpectError("int main() { double d = -2.0; return (int)sqrt(d); }",
+                 "sqrt of a negative number");
+}
+
+TEST(InterpErrors, FreeOfNonHeapPointer) {
+  runExpectError("int main() { int a[4]; a[0] = 1; free(a); return 0; }",
+                 "free of a non-heap pointer");
+  runExpectError("int main() { int *p = (int *)malloc(4); free(p + 1);\n"
+                 "  return 0; }",
+                 "free of a non-heap pointer");
+}
+
+TEST(InterpErrors, FreeOfNonPointer) {
+  runExpectError("int main() { free((void *)main); return 0; }",
+                 "free of a non-pointer value");
+}
+
+TEST(InterpErrors, PrintStrOfNonPointer) {
+  runExpectError("int main() { print_str((char *)main); return 0; }",
+                 "print_str expects a string pointer");
+}
+
+TEST(InterpErrors, PointerSubtractionAcrossObjects) {
+  runExpectError("int main() { int *p = (int *)malloc(4);\n"
+                 "  int *q = (int *)malloc(4); return p - q; }",
+                 "subtracting pointers into different objects");
+}
+
+TEST(InterpErrors, HeapReadOutOfBounds) {
+  runExpectError("int main() { int *p = (int *)malloc(2); return p[5]; }",
+                 "heap read out of bounds");
+}
+
+TEST(InterpErrors, StackReadOutOfBounds) {
+  runExpectError("int main() { int a[3]; int i = -1000; return a[i]; }",
+                 "stack read out of bounds");
+}
+
+TEST(InterpErrors, IndirectCallThroughNull) {
+  RunResult R = runExpectError(
+      "int (*f)(int) = NULL;\n"
+      "int main() { print_int(3); return f(1); }",
+      "indirect call through a non-function value");
+  EXPECT_EQ(R.Output, "3");
+}
+
+TEST(InterpErrors, NullReadThroughIntToPointerCast) {
+  runExpectError("int main() { int x = 8; int *p = (int *)x; return *p; }",
+                 "null pointer read");
 }
 
 TEST(InterpErrors, InfiniteLoopHitsStepLimit) {

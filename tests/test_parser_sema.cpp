@@ -267,6 +267,20 @@ TEST(ConstFold, DivisionByZeroDoesNotFold) {
   }
 }
 
+// INT64_MIN / -1 overflows (the host division traps), so folding
+// declines and sema reports the case label as non-constant.
+TEST(ConstFold, OverflowingDivisionDoesNotFold) {
+  for (const char *Op : {"/", "%"}) {
+    std::string Diags = compileExpectError(
+        std::string("int main() { int x = 1; switch (x) {\n"
+                    "  case (-9223372036854775807 - 1) ") +
+        Op + " -1: return 1; default: return 0; } }");
+    EXPECT_NE(Diags.find("case value is not an integer constant"),
+              std::string::npos)
+        << Diags;
+  }
+}
+
 TEST(ConstFold, NonConstantExpressionsDecline) {
   auto C = compile("int g = 1; int main() { return g + 1; }");
   ASSERT_TRUE(C);

@@ -406,6 +406,37 @@ TEST(Service, MalformedRequestsFailCleanly) {
   EXPECT_EQ(S.handle(estimateRequest("int main( {")), Bad);
 }
 
+// INT64_MIN / -1 once killed the process (SIGFPE) from a folded case
+// label (parse), a folded branch condition (estimate) and a run
+// (report). Each line must get an answer, and the service must go on.
+TEST(Service, OverflowingDivisionGetsAResponsePerLine) {
+  const char *ParseSrc =
+      "int main() { int x = read_int(); switch (x) {"
+      " case (-9223372036854775807 - 1) / -1: return 1;"
+      " default: return 0; } }";
+  const char *EstimateSrc =
+      "int main() { if ((-9223372036854775807 - 1) / -1) return 1;"
+      " return 0; }";
+  const char *ReportSrc =
+      "int main() { int a = -9223372036854775807 - 1; int b = -1;"
+      " print_int(a / b); return 0; }";
+  Service S;
+  std::vector<std::string> Out = S.handleBatch(
+      {std::string("{\"op\":\"parse\",\"source\":\"") +
+           jsonEscape(ParseSrc) + "\"}",
+       estimateRequest(EstimateSrc), reportRequest(ReportSrc, ""),
+       "{\"op\":\"stats\"}"});
+  ASSERT_EQ(Out.size(), 4u);
+  EXPECT_NE(Out[0].find("case value is not an integer constant"),
+            std::string::npos)
+      << Out[0];
+  EXPECT_NE(Out[1].find("\"ok\":true"), std::string::npos) << Out[1];
+  EXPECT_NE(Out[2].find("integer division overflow"), std::string::npos)
+      << Out[2];
+  EXPECT_NE(Out[3].find("sest-service-stats/1"), std::string::npos)
+      << Out[3];
+}
+
 TEST(Service, ProgramHashIsSourceIdentity) {
   Service S;
   std::string RespA = S.handle(estimateRequest(SourceA));
