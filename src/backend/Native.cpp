@@ -201,14 +201,16 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
   }
 
   obs::ScopedPhase Phase("native.compile", Hash);
-  char Tmpl[] = "/tmp/sest-native-XXXXXX";
-  if (!::mkdtemp(Tmpl)) {
+  // Scratch files go under $TMPDIR, falling back to /tmp.
+  const char *TmpEnv = std::getenv("TMPDIR");
+  const std::string TmpRoot = TmpEnv && *TmpEnv ? TmpEnv : "/tmp";
+  std::string Dir = TmpRoot + "/sest-native-XXXXXX";
+  if (!::mkdtemp(Dir.data())) {
     if (Error)
-      *Error = "cannot create temp dir under /tmp: " +
+      *Error = "cannot create temp dir under " + TmpRoot + ": " +
                std::string(std::strerror(errno));
     return nullptr;
   }
-  std::string Dir = Tmpl;
   std::string CPath = Dir + "/gen.c";
   std::string SoPath = Dir + "/lib.so";
   std::string DiagPath = Dir + "/cc.stderr";

@@ -41,7 +41,8 @@ struct EstimatorOptions {
   MarkovIntraConfig MarkovIntra_;
   /// Worker threads for per-function estimation (branch prediction +
   /// intra solves are independent across functions). 1 = serial,
-  /// 0 = hardware_concurrency. Results are identical for every value.
+  /// 0 = all cores (obs::resolveJobs). Inside another pool's worker the
+  /// functions run inline. Results are identical for every value.
   unsigned Jobs = 1;
 
   /// Keeps the shared loop count consistent across sub-configs.

@@ -181,8 +181,8 @@ inline std::string provRequest(uint64_t Ordinal) {
 /// Captures the ambient Telemetry and EventLog once on the spawning
 /// thread, runs each task under private per-task contexts (telemetry
 /// tagged with a per-worker track), and merges results back in task
-/// order. One helper so the suite runner, estimation pipeline, and
-/// optimizer report pools all observe identically.
+/// order. obs::parallelFor (obs/Parallel.h), the one worker pool, runs
+/// every task through it.
 class TaskCapture {
 public:
   TaskCapture()

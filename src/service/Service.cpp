@@ -15,6 +15,7 @@
 #include "metrics/Evaluation.h"
 #include "obs/EventLog.h"
 #include "obs/Export.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "opt/Inline.h"
 #include "opt/Layout.h"
@@ -24,9 +25,7 @@
 #include "support/Json.h"
 #include "tune/Tune.h"
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 using namespace sest;
 using namespace sest::service;
@@ -489,13 +488,8 @@ getOrBuildSolve(CacheSet &Caches, const Request &R, const CfgArtifact &Cfg,
   std::shared_ptr<ProgramEstimate> A;
   {
     obs::ScopedPhase Phase("service.build.solve");
-    // Per-function parallelism stays off inside the service: the
-    // service parallelizes across requests, and nested pools would
-    // oversubscribe the batch workers.
-    EstimatorOptions Est = Opts.Est;
-    Est.Jobs = 1;
     A = std::make_shared<ProgramEstimate>(
-        estimateProgram(Cfg.Ast->Ctx.unit(), Cfg.Cfgs, Cfg.CG, Est,
+        estimateProgram(Cfg.Ast->Ctx.unit(), Cfg.Cfgs, Cfg.CG, Opts.Est,
                         &Branch));
   }
   size_t Bytes = estimateBytes(*A);
@@ -1126,45 +1120,12 @@ Service::handleBatch(const std::vector<std::string> &Lines) {
            obs::attr("queue_depth", static_cast<double>(Lines.size()))});
   }
 
-  unsigned Jobs = Opts.Jobs == 0
-                      ? std::max(1u, std::thread::hardware_concurrency())
-                      : Opts.Jobs;
-  if (Jobs <= 1 || Lines.size() <= 1) {
-    for (size_t I = 0; I < Lines.size(); ++I)
-      Out[I] = handleParsed(Reqs[I]);
-    return Out;
-  }
-
-  // The suite runner's pool shape: workers pull the next request index,
-  // each task collects telemetry/events into private contexts on its
-  // worker's trace track, and contexts merge back in request order —
-  // so the merged report is independent of scheduling. Control ops
-  // (stats/metrics/health/shutdown) split the batch: they run on this
-  // thread after the preceding sub-batch has fully merged, so their
-  // answers see exactly the requests that preceded them in the stream,
-  // at every Jobs value.
-  auto RunParallel = [&](size_t Begin, size_t End) {
-    obs::TaskCapture Cap;
-    std::vector<obs::TaskCapture::Slot> Slots(End - Begin);
-    std::atomic<size_t> Next{Begin};
-    auto Worker = [&](uint32_t Track) {
-      std::string Name = "service-" + std::to_string(Track);
-      for (size_t I; (I = Next.fetch_add(1)) < End;)
-        Cap.run(Slots[I - Begin], Track, Name,
-                [&] { Out[I] = handleParsed(Reqs[I]); });
-    };
-    std::vector<std::thread> Pool;
-    unsigned N =
-        static_cast<unsigned>(std::min<size_t>(Jobs, End - Begin));
-    Pool.reserve(N);
-    for (unsigned I = 0; I < N; ++I)
-      Pool.emplace_back(Worker, I + 1);
-    for (std::thread &T : Pool)
-      T.join();
-    for (obs::TaskCapture::Slot &S : Slots)
-      Cap.merge(S);
-  };
-
+  // Requests run on the worker pool (tracks service-<k>) and their
+  // contexts merge back in request order, so the merged report is
+  // independent of scheduling. Control ops (stats/metrics/health/
+  // shutdown) split the batch: they run on this thread after the
+  // preceding sub-batch has fully merged, so their answers see exactly
+  // the requests that preceded them in the stream, at every Jobs value.
   size_t Start = 0;
   while (Start < Lines.size()) {
     if (isControlOp(Reqs[Start])) {
@@ -1175,10 +1136,9 @@ Service::handleBatch(const std::vector<std::string> &Lines) {
     size_t End = Start;
     while (End < Lines.size() && !isControlOp(Reqs[End]))
       ++End;
-    if (End - Start == 1)
-      Out[Start] = handleParsed(Reqs[Start]);
-    else
-      RunParallel(Start, End);
+    obs::parallelFor(Opts.Jobs, End - Start, "service", [&](size_t I) {
+      Out[Start + I] = handleParsed(Reqs[Start + I]);
+    });
     Start = End;
   }
   return Out;

@@ -7,7 +7,7 @@
 /// \file
 /// The analysis-as-a-service core behind tools/sestd: newline-delimited
 /// JSON requests in, newline-delimited JSON responses out, executed
-/// batched on a thread pool and answered from a content-addressed
+/// batched on the worker pool and answered from a content-addressed
 /// memoization cache so a repeated or overlapping request skips every
 /// pipeline stage it has already paid for.
 ///
@@ -77,7 +77,7 @@ struct Request; // One decoded request line (Service.cpp).
 
 /// Service configuration.
 struct ServiceOptions {
-  /// Worker threads per batch (1 = serial, 0 = hardware_concurrency).
+  /// Worker threads per batch (1 = serial, 0 = all cores).
   /// Responses are byte-identical for every value.
   unsigned Jobs = 1;
   /// Total cache byte budget, split evenly across the seven tiers
@@ -113,9 +113,9 @@ public:
   std::string handle(const std::string &Line);
 
   /// Handles a batch: requests execute concurrently on Jobs workers,
-  /// responses come back in request order. Per-task telemetry and event
-  /// logs are captured via obs::TaskCapture and merged in task order,
-  /// exactly like the suite runner's pool.
+  /// responses come back in request order. The batch runs on
+  /// obs::parallelFor, so per-task telemetry and event logs merge in
+  /// task order, exactly like every other pool.
   std::vector<std::string> handleBatch(const std::vector<std::string> &Lines);
 
   /// True once a shutdown request has been acknowledged; the driver

@@ -83,8 +83,8 @@ CompiledSuiteProgram compileProgramOnly(const SuiteProgram &Program);
 /// that fail are still present with Ok == false.
 ///
 /// Each program is compiled (and lowered to bytecode) once; the
-/// (program, input) runs are then executed by a pool of \p Jobs worker
-/// threads (0 = hardware_concurrency). Every run collects into its own
+/// (program, input) runs are then executed by obs::parallelFor on \p Jobs
+/// worker threads (0 = all cores). Every run collects into its own
 /// Telemetry context; the contexts are merged into the ambient one in
 /// input order, and a program's inputs after its first failing one are
 /// discarded, so results and telemetry are identical to a serial run
@@ -111,7 +111,7 @@ suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
 /// Programs with Ok == false or no profiles are skipped.
 ///
 /// The per-program estimation + attribution passes are fanned out over
-/// \p Jobs worker threads (1 = serial, 0 = hardware_concurrency), each
+/// \p Jobs worker threads (1 = serial, 0 = all cores), each
 /// collecting into a private Telemetry context merged back in program
 /// order. Profiles are bit-identical across engines and job counts, and
 /// the attribution uses no wall-clock inputs, so reports and telemetry

@@ -6,6 +6,7 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -59,4 +60,13 @@ std::string sest::joinStrings(const std::vector<std::string> &Parts,
 bool sest::startsWith(std::string_view Text, std::string_view Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.substr(0, Prefix.size()) == Prefix;
+}
+
+std::optional<unsigned> sest::parseUnsigned(std::string_view Text) {
+  unsigned Value = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Ec != std::errc() || Ptr != End)
+    return std::nullopt;
+  return Value;
 }

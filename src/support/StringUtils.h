@@ -13,6 +13,7 @@
 #ifndef SUPPORT_STRINGUTILS_H
 #define SUPPORT_STRINGUTILS_H
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,10 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 
 /// True when \p Text starts with \p Prefix.
 bool startsWith(std::string_view Text, std::string_view Prefix);
+
+/// Parses \p Text as a whole decimal `unsigned`. Signs, whitespace,
+/// trailing characters and out-of-range values yield std::nullopt.
+std::optional<unsigned> parseUnsigned(std::string_view Text);
 
 } // namespace sest
 

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 using namespace sest;
 
 namespace {
@@ -102,6 +104,40 @@ TEST(Backend, ArtifactsAreMemoizedBySourceHash) {
   EXPECT_FALSE(A->sourceHash().empty());
   EXPECT_GT(A->sourceBytes(), 0u);
   EXPECT_GT(A->compileMs(), 0.0);
+}
+
+/// The compile's scratch directory lives under $TMPDIR: an unusable
+/// TMPDIR fails with an error naming it, a usable one compiles.
+TEST(Backend, CompileScratchFollowsTmpdir) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  SuiteProgram SP;
+  SP.Name = "tmpdir";
+  // A source no other test compiles, so the artifact cache is cold.
+  SP.Source = "int main() { print_int(40213); return 0; }";
+  CompiledSuiteProgram C = compileProgramOnly(SP);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  bc::BcModule Bc = bc::compileBytecode(C.unit(), *C.Cfgs);
+
+  const char *Saved = std::getenv("TMPDIR");
+  const std::string SavedValue = Saved ? Saved : "";
+  const std::string Missing =
+      ::testing::TempDir() + "/sest-no-such-tmpdir/nested";
+  ::setenv("TMPDIR", Missing.c_str(), 1);
+  std::string Err;
+  auto Failed = backend::cBackend().compile(C.unit(), *C.Cfgs, Bc, {}, &Err);
+  ::setenv("TMPDIR", ::testing::TempDir().c_str(), 1);
+  std::string OkErr;
+  auto Built = backend::cBackend().compile(C.unit(), *C.Cfgs, Bc, {}, &OkErr);
+  if (Saved)
+    ::setenv("TMPDIR", SavedValue.c_str(), 1);
+  else
+    ::unsetenv("TMPDIR");
+
+  EXPECT_EQ(Failed, nullptr);
+  EXPECT_NE(Err.find("under " + Missing + ":"), std::string::npos) << Err;
+  EXPECT_NE(Built, nullptr) << OkErr;
 }
 
 TEST(Backend, ArtifactRunMatchesAstOracle) {

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace sest;
 
 namespace {
@@ -282,33 +284,40 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, NativeDiffTest,
                          }()),
                          [](const auto &Info) { return Info.param; });
 
-/// The parallel suite runner must be observationally identical to a
-/// serial run: same profiles, stats, and merged telemetry counters.
-TEST(BytecodeDiff, ParallelSuiteMatchesSerial) {
+/// Runs the suite at jobs 1 and 4 under \p Options and requires the
+/// parallel run to be observationally identical to the serial one: same
+/// status, errors, run stats, profiles, and merged non-timing telemetry
+/// counters. Returns the serial run.
+std::vector<CompiledSuiteProgram>
+expectParallelSuiteMatchesSerial(const InterpOptions &Options) {
   obs::Telemetry SerialTele, ParallelTele;
 
   SerialTele.install();
   std::vector<CompiledSuiteProgram> Serial =
-      compileAndProfileSuite(InterpOptions{}, 1);
+      compileAndProfileSuite(Options, 1);
   SerialTele.uninstall();
 
   ParallelTele.install();
   std::vector<CompiledSuiteProgram> Parallel =
-      compileAndProfileSuite(InterpOptions{}, 4);
+      compileAndProfileSuite(Options, 4);
   ParallelTele.uninstall();
 
-  ASSERT_EQ(Serial.size(), Parallel.size());
-  for (size_t I = 0; I < Serial.size(); ++I) {
+  EXPECT_EQ(Serial.size(), Parallel.size());
+  for (size_t I = 0; I < std::min(Serial.size(), Parallel.size()); ++I) {
     const CompiledSuiteProgram &S = Serial[I];
     const CompiledSuiteProgram &Q = Parallel[I];
     EXPECT_EQ(S.Ok, Q.Ok) << S.Spec->Name;
-    ASSERT_EQ(S.Profiles.size(), Q.Profiles.size()) << S.Spec->Name;
-    for (size_t J = 0; J < S.Profiles.size(); ++J)
+    EXPECT_EQ(S.Error, Q.Error) << S.Spec->Name;
+    EXPECT_EQ(S.Profiles.size(), Q.Profiles.size()) << S.Spec->Name;
+    for (size_t J = 0; J < std::min(S.Profiles.size(), Q.Profiles.size());
+         ++J)
       expectProfilesIdentical(S.Profiles[J], Q.Profiles[J],
                               S.Spec->Name + "/" +
                                   S.Spec->Inputs[J].Name);
-    ASSERT_EQ(S.RunStats.size(), Q.RunStats.size()) << S.Spec->Name;
-    for (size_t J = 0; J < S.RunStats.size(); ++J) {
+    EXPECT_EQ(S.RunStats.size(), Q.RunStats.size()) << S.Spec->Name;
+    for (size_t J = 0; J < std::min(S.RunStats.size(), Q.RunStats.size());
+         ++J) {
+      EXPECT_EQ(S.RunStats[J].InputName, Q.RunStats[J].InputName);
       EXPECT_EQ(S.RunStats[J].Steps, Q.RunStats[J].Steps);
       EXPECT_EQ(S.RunStats[J].Cycles, Q.RunStats[J].Cycles);
       EXPECT_EQ(S.RunStats[J].ExitCode, Q.RunStats[J].ExitCode);
@@ -317,14 +326,49 @@ TEST(BytecodeDiff, ParallelSuiteMatchesSerial) {
 
   // Merged telemetry counters (steps, instrs, runs, ...) must agree
   // exactly; only timing-valued entries may differ.
-  ASSERT_EQ(SerialTele.counters().size(), ParallelTele.counters().size());
+  EXPECT_EQ(SerialTele.counters().size(), ParallelTele.counters().size());
   for (const auto &[Name, Value] : SerialTele.counters()) {
     auto It = ParallelTele.counters().find(Name);
-    ASSERT_NE(It, ParallelTele.counters().end()) << Name;
+    if (It == ParallelTele.counters().end()) {
+      ADD_FAILURE() << "missing counter " << Name;
+      continue;
+    }
     if (Name.find("_ms") == std::string::npos &&
-        Name.find("_us") == std::string::npos)
+        Name.find("_us") == std::string::npos) {
       EXPECT_EQ(Value, It->second) << Name;
+    }
   }
+  return Serial;
+}
+
+/// The parallel suite runner must be observationally identical to a
+/// serial run: same profiles, stats, and merged telemetry counters.
+TEST(BytecodeDiff, ParallelSuiteMatchesSerial) {
+  expectParallelSuiteMatchesSerial(InterpOptions{});
+}
+
+/// A failing input ends its program: the runs of its later inputs (and
+/// their telemetry) must be dropped identically at every job count, even
+/// though the pool has already executed them.
+TEST(BytecodeDiff, FailedInputDropsSameRunsAtEveryJobCount) {
+  InterpOptions Options;
+  // Between the per-input step counts of several programs, so some
+  // fail on their first input and some (espresso, awk, water) only on
+  // a later one.
+  Options.MaxSteps = 1'000'000;
+  std::vector<CompiledSuiteProgram> Serial =
+      expectParallelSuiteMatchesSerial(Options);
+
+  size_t FailedLater = 0, Passed = 0;
+  for (const CompiledSuiteProgram &P : Serial) {
+    if (P.Ok)
+      ++Passed;
+    else if (P.RunStats.size() >= 2 &&
+             P.RunStats.size() < P.Spec->Inputs.size())
+      ++FailedLater;
+  }
+  EXPECT_GE(FailedLater, 1u) << "limit no longer exercises the drop path";
+  EXPECT_GE(Passed, 1u);
 }
 
 } // namespace

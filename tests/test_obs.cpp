@@ -15,12 +15,17 @@
 #include "TestUtil.h"
 
 #include "obs/EventLog.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
+#include <mutex>
+#include <set>
+#include <thread>
 
 using namespace sest;
 using namespace sest::test;
@@ -813,6 +818,128 @@ TEST(EventLog, TaskCaptureSkipsContextsWhenNothingAmbient) {
   EXPECT_EQ(S.T, nullptr);
   EXPECT_EQ(S.E, nullptr);
   Cap.merge(S); // must be a no-op, not a crash
+}
+
+//===----------------------------------------------------------------------===//
+// parallelFor — the one worker pool
+//===----------------------------------------------------------------------===//
+
+TEST(Parallel, ResolveJobsMapsZeroToAllCores) {
+  EXPECT_EQ(obs::resolveJobs(3), 3u);
+  EXPECT_GE(obs::resolveJobs(0), 1u);
+  EXPECT_EQ(obs::poolWorkers(8, 3), 3u);
+  EXPECT_EQ(obs::poolWorkers(2, 100), 2u);
+  EXPECT_EQ(obs::poolWorkers(8, 0), 1u);
+}
+
+TEST(Parallel, MergesInIndexOrderWhateverTheScheduling) {
+  obs::Telemetry Tele;
+  obs::EventLog Log;
+  Tele.install();
+  Log.install();
+  constexpr size_t N = 16;
+  // Early indices sleep longest, so they finish last.
+  obs::parallelFor(4, N, "worker", [](size_t I) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200 * (N - I)));
+    obs::ScopedPhase P("task", std::to_string(I));
+    obs::counterAdd("task.count");
+    obs::logEvent("task.done", obs::provFunction(std::to_string(I)));
+  });
+  Log.uninstall();
+  Tele.uninstall();
+
+  EXPECT_EQ(Tele.counters().at("task.count"), double(N));
+  ASSERT_EQ(Log.events().size(), N);
+  for (size_t I = 0; I < N; ++I)
+    EXPECT_EQ(Log.events()[I].Prov, obs::provFunction(std::to_string(I)));
+  // Spans land on worker tracks named worker-<k>, k in [1, 4].
+  for (const obs::TraceEvent &E : Tele.events()) {
+    ASSERT_GE(E.Track, 1u);
+    ASSERT_LE(E.Track, 4u);
+    EXPECT_EQ(Tele.trackNames().at(E.Track),
+              "worker-" + std::to_string(E.Track));
+  }
+}
+
+TEST(Parallel, ZeroOrOneTaskSpawnsNoThread) {
+  obs::Telemetry Tele;
+  Tele.install();
+  bool Ran = false;
+  obs::parallelFor(8, 0, "worker", [&](size_t) { Ran = true; });
+  EXPECT_FALSE(Ran);
+
+  std::thread::id Where;
+  obs::parallelFor(8, 1, "worker", [&](size_t I) {
+    EXPECT_EQ(I, 0u);
+    Where = std::this_thread::get_id();
+    obs::ScopedPhase P("only");
+  });
+  Tele.uninstall();
+  EXPECT_EQ(Where, std::this_thread::get_id());
+  // Inline in the ambient context: the span is on the main track and no
+  // worker track was named.
+  ASSERT_EQ(Tele.events().size(), 1u);
+  EXPECT_EQ(Tele.events()[0].Track, 0u);
+  EXPECT_TRUE(Tele.trackNames().empty());
+}
+
+TEST(Parallel, NestedCallRunsInlineOnTheWorkersTrack) {
+  obs::Telemetry Tele;
+  Tele.install();
+  std::mutex Mu;
+  size_t InnerOnOtherThread = 0;
+  obs::parallelFor(2, 2, "outer", [&](size_t) {
+    obs::ScopedPhase Outer("outer.task");
+    const std::thread::id Worker = std::this_thread::get_id();
+    obs::parallelFor(8, 4, "inner", [&](size_t) {
+      obs::ScopedPhase Inner("inner.task");
+      if (std::this_thread::get_id() != Worker) {
+        std::lock_guard<std::mutex> L(Mu);
+        ++InnerOnOtherThread;
+      }
+    });
+  });
+  Tele.uninstall();
+
+  EXPECT_EQ(InnerOnOtherThread, 0u);
+  std::set<uint32_t> OuterTracks, InnerTracks;
+  for (const obs::TraceEvent &E : Tele.events())
+    (E.Name == "outer.task" ? OuterTracks : InnerTracks).insert(E.Track);
+  EXPECT_EQ(OuterTracks.count(0), 0u);
+  EXPECT_EQ(InnerTracks, OuterTracks);
+  for (const auto &[Id, Name] : Tele.trackNames())
+    EXPECT_EQ(Name.rfind("outer-", 0), 0u) << Name;
+}
+
+TEST(Parallel, KeepFalseDropsThatTasksContexts) {
+  for (unsigned Jobs : {1u, 4u}) {
+    obs::Telemetry Tele;
+    obs::EventLog Log;
+    Tele.install();
+    Log.install();
+    std::vector<size_t> Asked;
+    obs::parallelFor(
+        Jobs, 6, "worker",
+        [](size_t I) {
+          obs::counterAdd("task.count");
+          obs::logEvent("task.done", obs::provFunction(std::to_string(I)));
+        },
+        [&](size_t I) {
+          Asked.push_back(I);
+          return I % 2 == 0;
+        });
+    Log.uninstall();
+    Tele.uninstall();
+
+    // Keep is asked on the calling thread, once per task, in order.
+    EXPECT_EQ(Asked, (std::vector<size_t>{0, 1, 2, 3, 4, 5})) << Jobs;
+    EXPECT_EQ(Tele.counters().at("task.count"), 3.0) << Jobs;
+    ASSERT_EQ(Log.events().size(), 3u) << Jobs;
+    for (size_t K = 0; K < 3; ++K)
+      EXPECT_EQ(Log.events()[K].Prov,
+                obs::provFunction(std::to_string(2 * K)))
+          << Jobs;
+  }
 }
 
 } // namespace

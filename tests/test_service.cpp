@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -652,6 +653,33 @@ TEST(Service, RequestSpansAreByteIdenticalAcrossJobs) {
   ASSERT_NE(LastEnqueue, std::string::npos);
   ASSERT_NE(FirstExecute, std::string::npos);
   EXPECT_LT(LastEnqueue, FirstExecute);
+}
+
+TEST(Service, BatchWorkersRunOnServiceTracks) {
+  // A parallel batch puts each worker's spans on a service-<k> track,
+  // and the estimator nested inside a request adds no track of its own.
+  std::vector<std::string> Requests;
+  for (int I = 0; I < 6; ++I)
+    Requests.push_back(estimateRequest(
+        ("int main() { return " + std::to_string(I) + "; }").c_str()));
+  ServiceOptions SO;
+  SO.Jobs = 2;
+  obs::Telemetry Tele;
+  Tele.install();
+  Service S(SO);
+  S.handleBatch(Requests);
+  Tele.uninstall();
+
+  ASSERT_FALSE(Tele.trackNames().empty());
+  for (const auto &[Id, Name] : Tele.trackNames())
+    EXPECT_EQ(Name, "service-" + std::to_string(Id));
+  std::set<uint32_t> EstimateTracks;
+  for (const obs::TraceEvent &E : Tele.events())
+    if (E.Name == "estimate.intra")
+      EstimateTracks.insert(E.Track);
+  ASSERT_FALSE(EstimateTracks.empty());
+  for (uint32_t Track : EstimateTracks)
+    EXPECT_EQ(Tele.trackNames().count(Track), 1u) << Track;
 }
 
 TEST(Service, WarmSpansRecordCacheHits) {

@@ -264,6 +264,19 @@ TEST(StringUtils, PadAndSplitAndJoin) {
   EXPECT_EQ(joinStrings({"x", "y", "z"}, ", "), "x, y, z");
 }
 
+TEST(StringUtils, ParseUnsignedAcceptsOnlyWholeDecimals) {
+  EXPECT_EQ(parseUnsigned("0"), 0u);
+  EXPECT_EQ(parseUnsigned("8"), 8u);
+  EXPECT_EQ(parseUnsigned("4294967295"), 4294967295u);
+  EXPECT_EQ(parseUnsigned(""), std::nullopt);
+  EXPECT_EQ(parseUnsigned("foo"), std::nullopt);
+  EXPECT_EQ(parseUnsigned("-3"), std::nullopt);
+  EXPECT_EQ(parseUnsigned("+3"), std::nullopt);
+  EXPECT_EQ(parseUnsigned(" 3"), std::nullopt);
+  EXPECT_EQ(parseUnsigned("3x"), std::nullopt);
+  EXPECT_EQ(parseUnsigned("4294967296"), std::nullopt);
+}
+
 TEST(TextTable, AlignsColumns) {
   TextTable T;
   T.setHeader({"name", "score"});

@@ -56,6 +56,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -152,6 +153,19 @@ std::string helpText() {
 [[noreturn]] void usage() {
   out(helpText());
   std::exit(2);
+}
+
+/// The --jobs operand: a non-negative integer (0 = all cores); anything
+/// else is a usage error.
+unsigned jobsArg(const std::string &V) {
+  std::optional<unsigned> Jobs = parseUnsigned(V);
+  if (!Jobs) {
+    std::string Msg =
+        "sestc: --jobs requires a non-negative integer, got '" + V + "'";
+    std::fputs((Msg + "\n").c_str(), stderr);
+    usage();
+  }
+  return *Jobs;
 }
 
 /// Classic dynamic-programming edit distance, for option suggestions.
@@ -309,8 +323,7 @@ Options parseArgs(int argc, char **argv) {
       else
         unknownValue("--interp", V, {"ast", "bytecode", "native"});
     } else if (A == "--jobs") {
-      O.Jobs = static_cast<unsigned>(
-          std::strtoul(Next().c_str(), nullptr, 10));
+      O.Jobs = jobsArg(Next());
       // Single-file estimation parallelizes per function with the same
       // knob (suite runs parallelize per program instead).
       O.Est.Jobs = O.Jobs;

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,6 +92,19 @@ std::string helpText() {
 [[noreturn]] void usage() {
   out(helpText());
   std::exit(2);
+}
+
+/// The --jobs operand: a non-negative integer (0 = all cores); anything
+/// else is a usage error.
+unsigned jobsArg(const std::string &V) {
+  std::optional<unsigned> Jobs = parseUnsigned(V);
+  if (!Jobs) {
+    std::string Msg =
+        "sestune: --jobs requires a non-negative integer, got '" + V + "'";
+    std::fputs((Msg + "\n").c_str(), stderr);
+    usage();
+  }
+  return *Jobs;
 }
 
 size_t editDistance(const std::string &A, const std::string &B) {
@@ -201,8 +215,7 @@ Options parseArgs(int argc, char **argv) {
       else
         usage();
     } else if (A == "--jobs") {
-      O.Tune.Jobs = static_cast<unsigned>(
-          std::strtoul(Next().c_str(), nullptr, 10));
+      O.Tune.Jobs = jobsArg(Next());
     } else if (A == "--report") {
       O.ReportFile = Next();
     } else if (A == "--best-config") {
