@@ -82,11 +82,11 @@ struct ProgramEstimate {
 ///
 /// When \p CachedPredictions is non-null (one FunctionBranchPredictions
 /// per function id, as produced by a previous run with the same source
-/// and branch configuration) the branch-prediction pass is skipped and
-/// the cached tables are used verbatim — the analysis service's
-/// branch-table cache tier feeds this. Results are bit-identical to a
-/// fresh prediction pass because prediction is a pure function of the
-/// CFG and the branch configuration.
+/// and branch configuration, e.g. IntraEstimates::Predictions) the
+/// branch-prediction pass is skipped and the tables are used verbatim.
+/// Results are bit-identical to a fresh prediction pass because
+/// prediction is a pure function of the CFG and the branch
+/// configuration.
 IntraEstimates
 computeIntraEstimates(const TranslationUnit &Unit, const CfgModule &Cfgs,
                       const EstimatorOptions &Options,

@@ -8,9 +8,9 @@
 /// The memoization substrate of the analysis service: a mutex-striped,
 /// byte-budgeted LRU map from stable 64-bit content hashes
 /// (support/Hash.h) to immutable, shared analysis artifacts. One
-/// ShardedCache instance backs one *tier* (ASTs, CFGs+call graphs,
-/// branch tables, Markov solves, opt plans, rendered responses); the
-/// CacheSet below groups the service's tiers.
+/// ShardedCache instance backs one *tier* (programs with their CFGs,
+/// Markov solves, native artifacts, rendered responses); the CacheSet
+/// in service/Service.h groups the service's tiers.
 ///
 /// Design constraints, in order:
 ///
@@ -63,7 +63,7 @@ struct CacheTierStats {
 /// One tier of the memoization cache. Thread-safe; see file comment.
 class ShardedCache {
 public:
-  /// \p Tier names the tier in counters ("ast", "solve", ...).
+  /// \p Tier names the tier in counters ("cfg", "solve", ...).
   /// \p BudgetBytes caps resident value bytes (0 disables caching:
   /// every get misses and put is a no-op). \p Shards is clamped to >= 1.
   ShardedCache(std::string Tier, size_t BudgetBytes, unsigned Shards = 8);

@@ -26,6 +26,7 @@
 #include "tune/Tune.h"
 
 #include <chrono>
+#include <cmath>
 
 using namespace sest;
 using namespace sest::service;
@@ -35,24 +36,18 @@ using namespace sest::service;
 //===----------------------------------------------------------------------===//
 
 CacheSet::CacheSet(size_t BudgetBytes, unsigned Shards)
-    : Ast("ast", BudgetBytes / 7, Shards),
-      Cfg("cfg", BudgetBytes / 7, Shards),
-      Branch("branch", BudgetBytes / 7, Shards),
-      Solve("solve", BudgetBytes / 7, Shards),
-      Plan("plan", BudgetBytes / 7, Shards),
-      Native("native", BudgetBytes / 7, Shards),
-      Response("response", BudgetBytes / 7, Shards) {}
+    : Cfg("cfg", BudgetBytes / 4, Shards),
+      Solve("solve", BudgetBytes / 4, Shards),
+      Native("native", BudgetBytes / 4, Shards),
+      Response("response", BudgetBytes / 4, Shards) {}
 
 std::vector<const ShardedCache *> CacheSet::all() const {
-  return {&Ast, &Cfg, &Branch, &Solve, &Plan, &Native, &Response};
+  return {&Cfg, &Solve, &Native, &Response};
 }
 
 void CacheSet::clearAll() {
-  Ast.clear();
   Cfg.clear();
-  Branch.clear();
   Solve.clear();
-  Plan.clear();
   Native.clear();
   Response.clear();
 }
@@ -63,26 +58,17 @@ void CacheSet::clearAll() {
 
 namespace {
 
-/// Tier "ast": one parsed + analyzed program. Immutable after build;
-/// Ok=false entries (parse errors) are cached too — rejecting a program
-/// is as deterministic as accepting it.
-struct AstArtifact {
+/// Tier "cfg": one parsed + analyzed program and, when it parses, its
+/// CFGs and call graph (both point into the AST arena the entry owns).
+/// Immutable after build; Ok=false entries (parse errors) are cached too
+/// — rejecting a program is as deterministic as accepting it.
+struct CfgArtifact {
   AstContext Ctx;
   std::string DiagText; ///< Rendered diagnostics (empty when clean).
   bool Ok = false;
+  CfgModule Cfgs; ///< Empty when !Ok.
+  CallGraph CG;   ///< Empty when !Ok.
 };
-
-/// Tier "cfg": CFGs + call graph. Both point into the AST arena, so the
-/// artifact co-owns its AST entry — evicting the ast tier can never
-/// dangle a resident cfg entry.
-struct CfgArtifact {
-  std::shared_ptr<const AstArtifact> Ast;
-  CfgModule Cfgs;
-  CallGraph CG;
-};
-
-/// Tier "branch": one prediction table per function id.
-using BranchArtifact = std::vector<FunctionBranchPredictions>;
 
 /// Tier "native": one loaded compile-to-C artifact, or the diagnostic
 /// explaining why the program has none (no host compiler, lowering
@@ -93,38 +79,22 @@ struct NativeEntry {
   std::string Error; ///< Set when Artifact is null.
 };
 
+/// Every estimator knob the protocol exposes. Requests that differ in
+/// any of them can never alias a solve or response entry.
+uint64_t optionsHash(const EstimatorOptions &Est) {
+  HashBuilder H("opts");
+  H.addU64(static_cast<uint64_t>(Est.Intra))
+      .addU64(static_cast<uint64_t>(Est.Inter))
+      .addU64(static_cast<uint64_t>(Est.MarkovIntra_.Solver))
+      .addDouble(Est.LoopIterations)
+      .addDouble(Est.Branch.TakenProbability)
+      .addBool(Est.Branch.UseConstantLoopBounds);
+  return H.digest();
+}
+
 } // namespace
 
 namespace sest::service::detail {
-
-/// The request options the protocol exposes. Everything that can vary
-/// here is folded into the cache keys (optionsHash / branchOptionsHash),
-/// so two requests differing in any knob can never alias an artifact.
-struct RequestOptions {
-  EstimatorOptions Est;
-
-  uint64_t optionsHash() const {
-    HashBuilder H("opts");
-    H.addU64(static_cast<uint64_t>(Est.Intra))
-        .addU64(static_cast<uint64_t>(Est.Inter))
-        .addU64(static_cast<uint64_t>(Est.MarkovIntra_.Solver))
-        .addDouble(Est.LoopIterations)
-        .addDouble(Est.Branch.TakenProbability)
-        .addBool(Est.Branch.UseConstantLoopBounds);
-    return H.digest();
-  }
-
-  /// The subset of knobs that influence branch prediction — the branch
-  /// tier is shared between configurations that differ only in, say,
-  /// the inter-procedural estimator.
-  uint64_t branchOptionsHash() const {
-    HashBuilder H("branch-opts");
-    H.addDouble(Est.LoopIterations)
-        .addDouble(Est.Branch.TakenProbability)
-        .addBool(Est.Branch.UseConstantLoopBounds);
-    return H.digest();
-  }
-};
 
 /// One decoded request line.
 struct Request {
@@ -132,14 +102,15 @@ struct Request {
   bool HasId = false;
   double Id = 0;
   std::string Source;
-  RequestOptions Opts;
+  EstimatorOptions Est;     ///< estimate/optimize/report: `options`
   bool Blocks = false;      ///< estimate: include per-block estimates
   std::string Passes = "all"; ///< optimize: layout | inline | all
   std::string Input;        ///< report/tune: bytes the program reads
   uint64_t Seed = 1;        ///< report: rand() seed; tune: search seed
   std::string Engine = "ast"; ///< report: ast | bytecode | native
   uint32_t Budget = 8;      ///< tune: configs evaluated per oracle
-  std::string Oracles = "static,profile"; ///< tune: comma-separated
+  std::vector<tune::TuneOracle> Oracles = {
+      tune::TuneOracle::Static, tune::TuneOracle::Profile}; ///< tune
   std::string Scope = "live"; ///< metrics: live | deterministic
   std::string Error;        ///< non-empty -> ok:false response
   /// Intake ordinal: span provenance ("req:<N>"), assigned in request
@@ -152,7 +123,6 @@ struct Request {
 namespace {
 
 using sest::service::detail::Request;
-using sest::service::detail::RequestOptions;
 
 /// Control ops answer from live service state instead of the analysis
 /// pipeline; handleBatch runs them on the intake thread between
@@ -163,40 +133,40 @@ bool isControlOp(const Request &R) {
           R.Op == "shutdown");
 }
 
-bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
+bool parseEstimatorOptions(const JsonValue &V, EstimatorOptions &Est,
                            std::string &Error) {
   for (const auto &[K, Val] : V.Members) {
     if (K == "intra") {
       if (Val.StringVal == "loop")
-        O.Est.Intra = IntraEstimatorKind::Loop;
+        Est.Intra = IntraEstimatorKind::Loop;
       else if (Val.StringVal == "smart")
-        O.Est.Intra = IntraEstimatorKind::Smart;
+        Est.Intra = IntraEstimatorKind::Smart;
       else if (Val.StringVal == "markov")
-        O.Est.Intra = IntraEstimatorKind::Markov;
+        Est.Intra = IntraEstimatorKind::Markov;
       else {
         Error = "unknown intra estimator '" + Val.StringVal + "'";
         return false;
       }
     } else if (K == "inter") {
       if (Val.StringVal == "call_site")
-        O.Est.Inter = InterEstimatorKind::CallSite;
+        Est.Inter = InterEstimatorKind::CallSite;
       else if (Val.StringVal == "direct")
-        O.Est.Inter = InterEstimatorKind::Direct;
+        Est.Inter = InterEstimatorKind::Direct;
       else if (Val.StringVal == "all_rec")
-        O.Est.Inter = InterEstimatorKind::AllRec;
+        Est.Inter = InterEstimatorKind::AllRec;
       else if (Val.StringVal == "all_rec2")
-        O.Est.Inter = InterEstimatorKind::AllRec2;
+        Est.Inter = InterEstimatorKind::AllRec2;
       else if (Val.StringVal == "markov")
-        O.Est.Inter = InterEstimatorKind::Markov;
+        Est.Inter = InterEstimatorKind::Markov;
       else {
         Error = "unknown inter estimator '" + Val.StringVal + "'";
         return false;
       }
     } else if (K == "solver") {
       if (Val.StringVal == "sparse")
-        O.Est.setSolver(MarkovSolverKind::Sparse);
+        Est.setSolver(MarkovSolverKind::Sparse);
       else if (Val.StringVal == "dense")
-        O.Est.setSolver(MarkovSolverKind::Dense);
+        Est.setSolver(MarkovSolverKind::Dense);
       else {
         Error = "unknown solver '" + Val.StringVal + "'";
         return false;
@@ -206,17 +176,21 @@ bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
         Error = "loop_iterations must be a number >= 1";
         return false;
       }
-      O.Est.setLoopIterations(Val.NumberVal);
+      Est.setLoopIterations(Val.NumberVal);
     } else if (K == "taken_probability") {
       if (!Val.isNumber() || Val.NumberVal <= 0.0 ||
           Val.NumberVal >= 1.0) {
         Error = "taken_probability must be in (0, 1)";
         return false;
       }
-      O.Est.Branch.TakenProbability = Val.NumberVal;
+      Est.Branch.TakenProbability = Val.NumberVal;
     } else if (K == "constant_loop_bounds") {
-      O.Est.Branch.UseConstantLoopBounds = Val.BoolVal;
-      O.Est.MarkovIntra_.Branch.UseConstantLoopBounds = Val.BoolVal;
+      if (!Val.isBool()) {
+        Error = "constant_loop_bounds must be a boolean";
+        return false;
+      }
+      Est.Branch.UseConstantLoopBounds = Val.BoolVal;
+      Est.MarkovIntra_.Branch.UseConstantLoopBounds = Val.BoolVal;
     } else {
       // Unknown knobs are rejected, not ignored: a silently dropped
       // option would alias two different configurations onto one cache
@@ -226,6 +200,14 @@ bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
     }
   }
   return true;
+}
+
+/// True when \p V is a whole number in [0, Limit). JSON numbers arrive
+/// as doubles, and casting one that is negative or out of range to an
+/// unsigned type is undefined, so such fields are rejected instead.
+bool isIntegerBelow(const JsonValue &V, double Limit) {
+  return V.isNumber() && V.NumberVal >= 0.0 && V.NumberVal < Limit &&
+         V.NumberVal == std::floor(V.NumberVal);
 }
 
 Request parseRequest(const std::string &Line) {
@@ -275,23 +257,39 @@ Request parseRequest(const std::string &Line) {
       R.Error = "'options' must be an object";
       return R;
     }
-    if (!parseEstimatorOptions(*Opts, R.Opts, R.Error))
+    if (!parseEstimatorOptions(*Opts, R.Est, R.Error))
       return R;
   }
-  if (const JsonValue *B = Doc->find("blocks"); B && B->isBool())
-    R.Blocks = B->BoolVal;
-  if (const JsonValue *P = Doc->find("passes"); P && P->isString()) {
-    R.Passes = P->StringVal;
-    if (R.Passes != "layout" && R.Passes != "inline" &&
-        R.Passes != "all") {
-      R.Error = "unknown passes '" + R.Passes + "'";
+  if (const JsonValue *B = Doc->find("blocks")) {
+    if (!B->isBool()) {
+      R.Error = "'blocks' must be a boolean";
       return R;
     }
+    R.Blocks = B->BoolVal;
   }
-  if (const JsonValue *I = Doc->find("input"); I && I->isString())
+  if (const JsonValue *P = Doc->find("passes")) {
+    if (!P->isString() || (P->StringVal != "layout" &&
+                           P->StringVal != "inline" &&
+                           P->StringVal != "all")) {
+      R.Error = "passes must be 'layout', 'inline', or 'all'";
+      return R;
+    }
+    R.Passes = P->StringVal;
+  }
+  if (const JsonValue *I = Doc->find("input")) {
+    if (!I->isString()) {
+      R.Error = "'input' must be a string";
+      return R;
+    }
     R.Input = I->StringVal;
-  if (const JsonValue *S = Doc->find("seed"); S && S->isNumber())
+  }
+  if (const JsonValue *S = Doc->find("seed")) {
+    if (!isIntegerBelow(*S, 0x1p64)) {
+      R.Error = "seed must be an integer in [0, 2^64)";
+      return R;
+    }
     R.Seed = static_cast<uint64_t>(S->NumberVal);
+  }
   if (const JsonValue *E = Doc->find("engine")) {
     if (!E->isString() || (E->StringVal != "ast" &&
                            E->StringVal != "bytecode" &&
@@ -309,8 +307,8 @@ Request parseRequest(const std::string &Line) {
       return R;
     }
     if (const JsonValue *B = Doc->find("budget")) {
-      if (!B->isNumber() || B->NumberVal < 1.0) {
-        R.Error = "budget must be a number >= 1";
+      if (!isIntegerBelow(*B, 0x1p32) || B->NumberVal < 1.0) {
+        R.Error = "budget must be an integer in [1, 2^32)";
         return R;
       }
       R.Budget = static_cast<uint32_t>(B->NumberVal);
@@ -320,18 +318,19 @@ Request parseRequest(const std::string &Line) {
         R.Error = "'oracles' must be a comma-separated string";
         return R;
       }
-      R.Oracles = O->StringVal;
-    }
-    std::string Rest = R.Oracles;
-    while (!Rest.empty()) {
-      size_t Comma = Rest.find(',');
-      std::string Name = Rest.substr(0, Comma);
-      Rest = Comma == std::string::npos ? "" : Rest.substr(Comma + 1);
-      tune::TuneOracle Oracle;
-      if (!tune::parseTuneOracle(Name, Oracle)) {
-        R.Error = "unknown oracle '" + Name +
-                  "' (expected static|profile|measured)";
-        return R;
+      R.Oracles.clear();
+      std::string_view Rest = O->StringVal;
+      while (!Rest.empty()) {
+        size_t Comma = Rest.find(',');
+        std::string_view Name = Rest.substr(0, Comma);
+        Rest = Comma == std::string_view::npos ? "" : Rest.substr(Comma + 1);
+        tune::TuneOracle Oracle;
+        if (!tune::parseTuneOracle(Name, Oracle)) {
+          R.Error = "unknown oracle '" + std::string(Name) +
+                    "' (expected static|profile|measured)";
+          return R;
+        }
+        R.Oracles.push_back(Oracle);
       }
     }
   }
@@ -345,27 +344,6 @@ Request parseRequest(const std::string &Line) {
 // Byte accounting is approximate: what matters is that charges scale
 // with real footprint so the LRU budget means something, not that they
 // match malloc to the byte.
-
-size_t cfgArtifactBytes(const CfgArtifact &A) {
-  size_t Bytes = sizeof(CfgArtifact);
-  for (const auto &[F, G] : A.Cfgs.all()) {
-    (void)F;
-    Bytes += 64 + G->size() * 96;
-  }
-  return Bytes;
-}
-
-size_t branchArtifactBytes(const BranchArtifact &A) {
-  size_t Bytes = sizeof(BranchArtifact) + A.size() * 64;
-  for (const FunctionBranchPredictions &P : A) {
-    Bytes += P.ByBlock.size() * 64;
-    for (const auto &[B, Probs] : P.SwitchProbs) {
-      (void)B;
-      Bytes += 48 + Probs.size() * sizeof(double);
-    }
-  }
-  return Bytes;
-}
 
 size_t estimateBytes(const ProgramEstimate &E) {
   size_t Bytes = sizeof(ProgramEstimate);
@@ -399,31 +377,12 @@ void logCacheEvent(const Request &R, std::string_view Tier, bool Hit,
                 std::move(Attrs));
 }
 
-std::shared_ptr<const AstArtifact> getOrBuildAst(CacheSet &Caches,
+/// The program behind \p R: parsed, analyzed and — when it parses —
+/// lowered to CFGs and a call graph. The entry is charged for all of it
+/// (source, AST arena, diagnostics, CFGs), so the budget bounds the
+/// memory it keeps alive.
+std::shared_ptr<const CfgArtifact> getOrBuildCfg(CacheSet &Caches,
                                                 const Request &R) {
-  const std::string &Source = R.Source;
-  uint64_t Key = HashBuilder("ast").add(Source).digest();
-  if (auto A = Caches.Ast.getAs<AstArtifact>(Key)) {
-    logCacheEvent(R, "ast", true);
-    return A;
-  }
-  auto A = std::make_shared<AstArtifact>();
-  {
-    obs::ScopedPhase Phase("service.build.ast");
-    DiagnosticEngine Diags;
-    A->Ok = parseAndAnalyze(Source, A->Ctx, Diags);
-    A->DiagText = Diags.str();
-  }
-  size_t Bytes = sizeof(AstArtifact) + Source.size() +
-                 A->Ctx.arenaBytes() + A->DiagText.size();
-  logCacheEvent(R, "ast", false, Bytes);
-  Caches.Ast.put(Key, A, Bytes);
-  return A;
-}
-
-std::shared_ptr<const CfgArtifact>
-getOrBuildCfg(CacheSet &Caches, const Request &R,
-              std::shared_ptr<const AstArtifact> Ast) {
   uint64_t Key = HashBuilder("cfg").add(R.Source).digest();
   if (auto A = Caches.Cfg.getAs<CfgArtifact>(Key)) {
     logCacheEvent(R, "cfg", true);
@@ -432,55 +391,30 @@ getOrBuildCfg(CacheSet &Caches, const Request &R,
   auto A = std::make_shared<CfgArtifact>();
   {
     obs::ScopedPhase Phase("service.build.cfg");
-    A->Ast = std::move(Ast);
-    DiagnosticEngine Diags; // CFG construction emits no errors on a
-                            // program sema accepted.
-    A->Cfgs = CfgModule::build(A->Ast->Ctx.unit(), Diags);
-    A->CG = CallGraph::build(A->Ast->Ctx.unit(), A->Cfgs);
+    DiagnosticEngine Diags;
+    A->Ok = parseAndAnalyze(R.Source, A->Ctx, Diags);
+    A->DiagText = Diags.str();
+    if (A->Ok) {
+      // CFG construction emits no errors on a program sema accepted.
+      A->Cfgs = CfgModule::build(A->Ctx.unit(), Diags);
+      A->CG = CallGraph::build(A->Ctx.unit(), A->Cfgs);
+    }
   }
-  size_t Bytes = cfgArtifactBytes(*A);
+  size_t Bytes = sizeof(CfgArtifact) + R.Source.size() +
+                 A->Ctx.arenaBytes() + A->DiagText.size();
+  for (const auto &[F, G] : A->Cfgs.all()) {
+    (void)F;
+    Bytes += 64 + G->size() * 96;
+  }
   logCacheEvent(R, "cfg", false, Bytes);
   Caches.Cfg.put(Key, A, Bytes);
   return A;
 }
 
-std::shared_ptr<const BranchArtifact>
-getOrBuildBranch(CacheSet &Caches, const Request &R,
-                 const CfgArtifact &Cfg) {
-  const RequestOptions &Opts = R.Opts;
-  uint64_t Key = HashBuilder("branch")
-                     .add(R.Source)
-                     .addU64(Opts.branchOptionsHash())
-                     .digest();
-  if (auto A = Caches.Branch.getAs<BranchArtifact>(Key)) {
-    logCacheEvent(R, "branch", true);
-    return A;
-  }
-  auto A = std::make_shared<BranchArtifact>();
-  {
-    obs::ScopedPhase Phase("service.build.branch");
-    const TranslationUnit &Unit = Cfg.Ast->Ctx.unit();
-    A->resize(Unit.Functions.size());
-    BranchPredictorConfig BC = Opts.Est.Branch;
-    BC.LoopIterations = Opts.Est.LoopIterations;
-    BranchPredictor Predictor(BC);
-    for (const auto &[F, G] : Cfg.Cfgs.all())
-      (*A)[F->functionId()] = Predictor.predictFunction(*G);
-  }
-  size_t Bytes = branchArtifactBytes(*A);
-  logCacheEvent(R, "branch", false, Bytes);
-  Caches.Branch.put(Key, A, Bytes);
-  return A;
-}
-
 std::shared_ptr<const ProgramEstimate>
-getOrBuildSolve(CacheSet &Caches, const Request &R, const CfgArtifact &Cfg,
-                const BranchArtifact &Branch) {
-  const RequestOptions &Opts = R.Opts;
-  uint64_t Key = HashBuilder("solve")
-                     .add(R.Source)
-                     .addU64(Opts.optionsHash())
-                     .digest();
+getOrBuildSolve(CacheSet &Caches, const Request &R, const CfgArtifact &Cfg) {
+  uint64_t Key =
+      HashBuilder("solve").add(R.Source).addU64(optionsHash(R.Est)).digest();
   if (auto A = Caches.Solve.getAs<ProgramEstimate>(Key)) {
     logCacheEvent(R, "solve", true);
     return A;
@@ -489,8 +423,7 @@ getOrBuildSolve(CacheSet &Caches, const Request &R, const CfgArtifact &Cfg,
   {
     obs::ScopedPhase Phase("service.build.solve");
     A = std::make_shared<ProgramEstimate>(
-        estimateProgram(Cfg.Ast->Ctx.unit(), Cfg.Cfgs, Cfg.CG, Opts.Est,
-                        &Branch));
+        estimateProgram(Cfg.Ctx.unit(), Cfg.Cfgs, Cfg.CG, R.Est));
   }
   size_t Bytes = estimateBytes(*A);
   logCacheEvent(R, "solve", false, Bytes);
@@ -512,7 +445,7 @@ getOrBuildNative(CacheSet &Caches, const Request &R,
   auto A = std::make_shared<NativeEntry>();
   {
     obs::ScopedPhase Phase("service.build.native");
-    const TranslationUnit &Unit = Cfg.Ast->Ctx.unit();
+    const TranslationUnit &Unit = Cfg.Ctx.unit();
     bc::BcModule Bc = bc::compileBytecode(Unit, Cfg.Cfgs);
     A->Artifact =
         backend::cBackend().compile(Unit, Cfg.Cfgs, Bc, {}, &A->Error);
@@ -566,7 +499,7 @@ std::string renderError(const Request &R, const std::string &Error) {
 }
 
 std::string parseResultJson(const CfgArtifact &Cfg) {
-  const TranslationUnit &Unit = Cfg.Ast->Ctx.unit();
+  const TranslationUnit &Unit = Cfg.Ctx.unit();
   size_t TotalBlocks = 0;
   JsonWriter W;
   W.beginObject();
@@ -589,8 +522,8 @@ std::string estimateResultJson(const Request &R, const CfgArtifact &Cfg,
                                const ProgramEstimate &E) {
   JsonWriter W;
   W.beginObject();
-  W.member("intra", intraEstimatorName(R.Opts.Est.Intra));
-  W.member("inter", interEstimatorName(R.Opts.Est.Inter));
+  W.member("intra", intraEstimatorName(R.Est.Intra));
+  W.member("inter", interEstimatorName(R.Est.Inter));
   W.key("functions").beginArray();
   for (const auto &[F, G] : Cfg.Cfgs.all()) {
     (void)G;
@@ -617,12 +550,12 @@ std::string estimateResultJson(const Request &R, const CfgArtifact &Cfg,
 
 std::string optimizeResultJson(const Request &R, const CfgArtifact &Cfg,
                                const ProgramEstimate &E) {
-  const TranslationUnit &Unit = Cfg.Ast->Ctx.unit();
+  const TranslationUnit &Unit = Cfg.Ctx.unit();
   // The plan must be value-only: InlinePlan and layouts reference AST
-  // nodes whose lifetime is the ast tier entry's, so everything is
+  // nodes whose lifetime is the cfg tier entry's, so everything is
   // rendered to JSON before it can outlive the artifacts.
   opt::WeightSource Weights =
-      opt::weightsFromEstimate(Unit, Cfg.Cfgs, E, R.Opts.Est);
+      opt::weightsFromEstimate(Unit, Cfg.Cfgs, E, R.Est);
   JsonWriter W;
   W.beginObject();
   W.member("passes", R.Passes);
@@ -678,7 +611,7 @@ std::string optimizeResultJson(const Request &R, const CfgArtifact &Cfg,
 std::string reportResultJson(CacheSet &Caches, const Request &R,
                              const CfgArtifact &Cfg,
                              const ProgramEstimate &E) {
-  const TranslationUnit &Unit = Cfg.Ast->Ctx.unit();
+  const TranslationUnit &Unit = Cfg.Ctx.unit();
   ProgramInput Input;
   Input.Text = R.Input;
   Input.RandSeed = R.Seed;
@@ -732,119 +665,69 @@ std::string reportResultJson(CacheSet &Caches, const Request &R,
   return W.take();
 }
 
-/// The semantic key of a cacheable request: op + source + every knob
-/// that can change the result. Deliberately NOT the raw line — field
-/// order and the echoed id must not fragment the response tier.
+/// The semantic key of a cacheable request: op + source + exactly the
+/// fields that op reads. Deliberately NOT the raw line — field order,
+/// the echoed id and fields the op ignores must not fragment the
+/// response tier.
 uint64_t responseKey(const Request &R) {
   HashBuilder H("response");
-  H.add(R.Op)
-      .add(R.Source)
-      .addU64(R.Opts.optionsHash())
-      .addBool(R.Blocks)
-      .add(R.Passes)
-      .add(R.Input)
-      .addU64(R.Seed)
-      .add(R.Engine)
-      .addU64(R.Budget)
-      .add(R.Oracles);
+  H.add(R.Op).add(R.Source);
+  if (R.Op == "estimate") {
+    H.addU64(optionsHash(R.Est)).addBool(R.Blocks);
+  } else if (R.Op == "optimize") {
+    H.addU64(optionsHash(R.Est)).add(R.Passes);
+  } else if (R.Op == "report") {
+    H.addU64(optionsHash(R.Est)).add(R.Input).addU64(R.Seed).add(R.Engine);
+  } else if (R.Op == "tune") {
+    H.add(R.Input).addU64(R.Seed).addU64(R.Budget).add(R.Engine);
+    H.addU64(R.Oracles.size());
+    for (tune::TuneOracle O : R.Oracles)
+      H.addU64(static_cast<uint64_t>(O));
+  }
   return H.digest();
 }
 
 /// The `tune` result: the full sest-tune-report/1 document for the
 /// request's source, as produced by the autotuner over a synthesized
 /// train/eval input pair (tune::tuneSource). Deterministic — same
-/// source + knobs -> same bytes — so it lives in the plan tier under
-/// its own key domain.
+/// source + knobs -> same bytes — so the response tier holds it.
 std::string tuneResultJson(const Request &R) {
   tune::TuneOptions O;
   O.Budget = R.Budget;
   O.Seed = R.Seed;
   O.Engine = R.Engine == "bytecode" ? InterpEngine::Bytecode
                                     : InterpEngine::Ast;
-  O.Oracles.clear();
-  std::string Rest = R.Oracles;
-  while (!Rest.empty()) {
-    size_t Comma = Rest.find(',');
-    tune::TuneOracle Oracle;
-    if (tune::parseTuneOracle(Rest.substr(0, Comma), Oracle))
-      O.Oracles.push_back(Oracle);
-    Rest = Comma == std::string::npos ? "" : Rest.substr(Comma + 1);
-  }
+  O.Oracles = R.Oracles;
   return tune::tuneSource(R.Source, R.Input, O);
 }
 
 /// Computes the response body for one cacheable op (parse / estimate /
-/// optimize / report), walking the artifact tiers top-down so every
-/// stage that is already cached is skipped.
+/// optimize / report / tune), walking the artifact tiers top-down so
+/// every stage that is already cached is skipped.
 ResponseBody buildBody(CacheSet &Caches, const Request &R) {
   ResponseBody Body;
-  std::shared_ptr<const AstArtifact> Ast = getOrBuildAst(Caches, R);
-  if (!Ast->Ok) {
-    Body.Error = "program does not parse: " + Ast->DiagText;
+  std::shared_ptr<const CfgArtifact> Cfg = getOrBuildCfg(Caches, R);
+  if (!Cfg->Ok) {
+    Body.Error = "program does not parse: " + Cfg->DiagText;
     return Body;
   }
-  std::shared_ptr<const CfgArtifact> Cfg = getOrBuildCfg(Caches, R, Ast);
+  Body.Ok = true;
   if (R.Op == "parse") {
-    Body.Ok = true;
     Body.ResultJson = parseResultJson(*Cfg);
-    return Body;
-  }
-  if (R.Op == "tune") {
-    // Tune reports share the plan tier (they are optimizer decision
-    // documents too) under their own key domain.
-    uint64_t TuneKey = HashBuilder("tune")
-                           .add(R.Source)
-                           .add(R.Input)
-                           .addU64(R.Seed)
-                           .addU64(R.Budget)
-                           .add(R.Oracles)
-                           .add(R.Engine)
-                           .digest();
-    std::shared_ptr<const std::string> Doc =
-        Caches.Plan.getAs<std::string>(TuneKey);
-    if (Doc) {
-      logCacheEvent(R, "plan", true);
-    } else {
-      obs::ScopedPhase Phase("service.build.tune");
-      Doc = std::make_shared<const std::string>(tuneResultJson(R));
-      logCacheEvent(R, "plan", false, Doc->size());
-      Caches.Plan.put(TuneKey, Doc, sizeof(std::string) + Doc->size());
-    }
-    Body.Ok = true;
-    Body.ResultJson = *Doc;
-    return Body;
-  }
-  std::shared_ptr<const BranchArtifact> Branch =
-      getOrBuildBranch(Caches, R, *Cfg);
-  std::shared_ptr<const ProgramEstimate> Solve =
-      getOrBuildSolve(Caches, R, *Cfg, *Branch);
-  if (R.Op == "estimate") {
-    Body.Ok = true;
-    Body.ResultJson = estimateResultJson(R, *Cfg, *Solve);
-  } else if (R.Op == "optimize") {
-    // Plans get their own tier: they depend on `passes` on top of the
-    // solve, and rendering them walks the optimizer.
-    uint64_t PlanKey = HashBuilder("plan")
-                           .add(R.Source)
-                           .addU64(R.Opts.optionsHash())
-                           .add(R.Passes)
-                           .digest();
-    std::shared_ptr<const std::string> Plan =
-        Caches.Plan.getAs<std::string>(PlanKey);
-    if (Plan) {
-      logCacheEvent(R, "plan", true);
-    } else {
+  } else if (R.Op == "tune") {
+    obs::ScopedPhase Phase("service.build.tune");
+    Body.ResultJson = tuneResultJson(R);
+  } else {
+    std::shared_ptr<const ProgramEstimate> Solve =
+        getOrBuildSolve(Caches, R, *Cfg);
+    if (R.Op == "estimate") {
+      Body.ResultJson = estimateResultJson(R, *Cfg, *Solve);
+    } else if (R.Op == "optimize") {
       obs::ScopedPhase Phase("service.build.plan");
-      Plan = std::make_shared<const std::string>(
-          optimizeResultJson(R, *Cfg, *Solve));
-      logCacheEvent(R, "plan", false, Plan->size());
-      Caches.Plan.put(PlanKey, Plan, sizeof(std::string) + Plan->size());
+      Body.ResultJson = optimizeResultJson(R, *Cfg, *Solve);
+    } else { // report
+      Body.ResultJson = reportResultJson(Caches, R, *Cfg, *Solve);
     }
-    Body.Ok = true;
-    Body.ResultJson = *Plan;
-  } else { // report
-    Body.Ok = true;
-    Body.ResultJson = reportResultJson(Caches, R, *Cfg, *Solve);
   }
   return Body;
 }

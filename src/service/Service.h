@@ -36,16 +36,15 @@
 /// Cache tiers (each a ShardedCache, keyed by support::contentHash64
 /// over source text + the options that influence the artifact):
 ///
-///   ast       parsed+analyzed ASTs
-///   cfg       CFGs + call graph (co-owns its AST entry)
-///   branch    branch-prediction tables
-///   solve     sparse-Markov solve results (whole ProgramEstimates)
-///   plan      optimizer plans (layout / hints / inline selection) and
-///             tune reports (autotuner runs, own key domain)
+///   cfg       parsed+analyzed ASTs with their CFGs + call graph (parse
+///             failures are cached too, as entries with no CFGs)
+///   solve     sparse-Markov solve results (whole ProgramEstimates,
+///             branch-prediction tables included)
 ///   native    loaded compile-to-C artifacts for engine:"native" reports
 ///             (compile failures are cached too — rejecting is as
 ///             deterministic as accepting)
-///   response  rendered response bodies, keyed by the raw request line
+///   response  rendered response bodies, keyed by op + source + exactly
+///             the fields that op reads
 ///
 /// Determinism contract (extends the repo-wide one to the service
 /// layer): a request's response is byte-identical whether it is served
@@ -80,16 +79,16 @@ struct ServiceOptions {
   /// Worker threads per batch (1 = serial, 0 = all cores).
   /// Responses are byte-identical for every value.
   unsigned Jobs = 1;
-  /// Total cache byte budget, split evenly across the seven tiers
+  /// Total cache byte budget, split evenly across the four tiers
   /// (0 disables memoization entirely — every request recomputes).
   size_t CacheBudgetBytes = 256u << 20;
   /// Mutex stripes per tier.
   unsigned CacheShards = 16;
 };
 
-/// The seven cache tiers of one service instance.
+/// The four cache tiers of one service instance.
 struct CacheSet {
-  ShardedCache Ast, Cfg, Branch, Solve, Plan, Native, Response;
+  ShardedCache Cfg, Solve, Native, Response;
 
   CacheSet(size_t BudgetBytes, unsigned Shards);
   /// Tier pointers in stable report order.

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/Native.h"
+#include "lang/Parser.h"
 #include "obs/EventLog.h"
 #include "obs/Export.h"
 #include "obs/Telemetry.h"
@@ -161,8 +162,8 @@ std::string optimizeRequest(const char *Source) {
 
 TEST(Service, OneTokenEditMissesEveryTier) {
   Service S;
-  // optimize walks every tier except native (ast, cfg, branch, solve,
-  // plan, response); only engine:"native" reports touch that one.
+  // optimize walks every tier except native (cfg, solve, response);
+  // only engine:"native" reports touch that one.
   EXPECT_TRUE(S.handle(optimizeRequest(SourceA)).find("\"ok\":true") !=
               std::string::npos);
   // Every tier now holds SourceA's artifacts. The edited program must
@@ -198,16 +199,51 @@ TEST(Service, DifferentOptionsDoNotCollide) {
       SourceA, "{\"loop_iterations\":100}", /*Blocks=*/true));
   EXPECT_NE(R1, R2);
   // Distinct entries for both configurations in the options-keyed
-  // tiers; the source-keyed tiers (ast, cfg) are shared.
+  // solve tier; the source-keyed cfg tier is shared.
   EXPECT_EQ(S.caches().Solve.stats().Entries, 2u);
-  EXPECT_EQ(S.caches().Branch.stats().Entries, 2u);
-  EXPECT_EQ(S.caches().Ast.stats().Entries, 1u);
   EXPECT_EQ(S.caches().Cfg.stats().Entries, 1u);
-  // And an option that only affects the inter-procedural stage shares
-  // the branch tier but not the solve tier.
+  // And an option that only affects the inter-procedural stage still
+  // gets its own solve entry.
   S.handle(estimateRequest(SourceA, "{\"inter\":\"direct\"}"));
   EXPECT_EQ(S.caches().Solve.stats().Entries, 3u);
-  EXPECT_EQ(S.caches().Branch.stats().Entries, 2u);
+}
+
+/// The cfg tier owns each program's AST, so it must be charged for it:
+/// otherwise the budget does not bound the memory the tier keeps alive.
+TEST(Service, CfgTierChargesTheAst) {
+  AstContext Ctx;
+  DiagnosticEngine Diags;
+  ASSERT_TRUE(parseAndAnalyze(SourceA, Ctx, Diags));
+  Service S;
+  S.handle(estimateRequest(SourceA));
+  EXPECT_EQ(S.caches().Cfg.stats().Entries, 1u);
+  EXPECT_GE(S.caches().Cfg.stats().Bytes, Ctx.arenaBytes());
+}
+
+/// The response key covers exactly the fields an op reads: fields the
+/// op ignores must not split the response tier.
+TEST(Service, ResponseKeyIgnoresFieldsTheOpDoesNotRead) {
+  std::string Src = jsonEscape(SourceA);
+  Service S;
+  std::vector<std::string> Optimize = {
+      "{\"op\":\"optimize\",\"source\":\"" + Src + "\"}",
+      "{\"op\":\"optimize\",\"source\":\"" + Src + "\",\"seed\":9}",
+      "{\"op\":\"optimize\",\"source\":\"" + Src +
+          "\",\"input\":\"7\",\"seed\":3}"};
+  std::string First = S.handle(Optimize[0]);
+  for (const std::string &Req : Optimize)
+    EXPECT_EQ(S.handle(Req), First);
+  EXPECT_EQ(S.caches().Response.stats().Misses, 1u);
+  EXPECT_EQ(S.caches().Response.stats().Hits, 3u);
+
+  std::string Tune =
+      "{\"op\":\"tune\",\"source\":\"" + Src + "\",\"budget\":2";
+  std::string TuneCold = S.handle(Tune + "}");
+  EXPECT_NE(TuneCold.find("\"ok\":true"), std::string::npos) << TuneCold;
+  EXPECT_EQ(S.handle(Tune + ",\"options\":{\"intra\":\"markov\"}}"),
+            TuneCold);
+  EXPECT_EQ(S.caches().Response.stats().Misses, 2u);
+  EXPECT_EQ(S.caches().Response.stats().Hits, 4u);
 }
 
 TEST(Service, WarmResponsesAreByteIdentical) {
@@ -235,8 +271,7 @@ TEST(Service, WarmResponsesAreByteIdentical) {
 }
 
 /// The `tune` verb: cold, warm, and across job counts the report must
-/// be byte-identical, and a warm replay must hit the plan tier (where
-/// tune documents live under their own key domain).
+/// be byte-identical, and a warm replay must hit the response tier.
 TEST(Service, TuneVerbIsByteIdenticalColdWarmAndAcrossJobs) {
   std::string Req = std::string("{\"op\":\"tune\",\"source\":\"") +
                     jsonEscape(SourceA) +
@@ -245,13 +280,11 @@ TEST(Service, TuneVerbIsByteIdenticalColdWarmAndAcrossJobs) {
   std::string Cold = S.handle(Req);
   EXPECT_NE(Cold.find("\"ok\":true"), std::string::npos) << Cold;
   EXPECT_NE(Cold.find("sest-tune-report/1"), std::string::npos);
-  uint64_t PlanHitsBefore = S.caches().Plan.stats().Hits;
+  uint64_t HitsBefore = S.caches().Response.stats().Hits;
   std::string Warm = S.handle(Req);
   EXPECT_EQ(Cold, Warm);
-  // Warm was served from a tier (response or plan), not recomputed.
-  EXPECT_GT(S.caches().Response.stats().Hits +
-                S.caches().Plan.stats().Hits,
-            PlanHitsBefore);
+  // Warm was served from the response tier, not recomputed.
+  EXPECT_GT(S.caches().Response.stats().Hits, HitsBefore);
 
   ServiceOptions O8;
   O8.Jobs = 8;
@@ -324,18 +357,25 @@ TEST(Service, ReportRejectsUnknownEngine) {
 
 TEST(Service, EvictionChurnCannotChangeResponses) {
   // Budget so small the tiers evict constantly (but still admit one
-  // entry at a time); alternate two programs so every request evicts
-  // the other's artifacts.
+  // entry at a time): the cfg tier holds one of the two programs, so
+  // alternating them evicts the other's entry on every request, and 32
+  // (program, options) solves overflow the solve tier.
   ServiceOptions Tiny;
-  Tiny.CacheBudgetBytes = 6 * 16 * 1024; // ~16 KiB per tier
+  Tiny.CacheBudgetBytes = 4 * 20 * 1024; // 20 KiB per tier
   Tiny.CacheShards = 1;
   Service Churn(Tiny);
   Service Roomy; // default budget: no eviction
   for (int Round = 0; Round < 3; ++Round)
-    for (const char *Src : {SourceA, SourceB}) {
-      std::string Req = estimateRequest(Src);
-      EXPECT_EQ(Churn.handle(Req), Roomy.handle(Req));
-    }
+    for (int Iterations = 2; Iterations < 18; ++Iterations)
+      for (const char *Src : {SourceA, SourceB}) {
+        std::string Req = estimateRequest(
+            Src,
+            "{\"loop_iterations\":" + std::to_string(Iterations) + "}");
+        EXPECT_EQ(Churn.handle(Req), Roomy.handle(Req));
+      }
+  EXPECT_GT(Churn.caches().Cfg.stats().Evictions, 0u);
+  EXPECT_GT(Churn.caches().Solve.stats().Evictions, 0u);
+  EXPECT_EQ(Roomy.caches().Cfg.stats().Evictions, 0u);
 }
 
 TEST(Service, DisabledCacheMatchesEnabledCache) {
@@ -400,6 +440,25 @@ TEST(Service, MalformedRequestsFailCleanly) {
   EXPECT_NE(S.handle(estimateRequest(SourceA, "{\"bogus\":1}"))
                 .find("unknown option"),
             std::string::npos);
+  // Mistyped fields and numbers that do not fit their field are
+  // rejected, never dropped or cast out of range.
+  std::string Src = jsonEscape(SourceA);
+  for (const std::string &Fields :
+       {std::string("\"op\":\"report\",\"seed\":-1"),
+        std::string("\"op\":\"report\",\"seed\":1.5"),
+        std::string("\"op\":\"report\",\"seed\":1e30"),
+        std::string("\"op\":\"report\",\"seed\":\"7\""),
+        std::string("\"op\":\"report\",\"input\":12"),
+        std::string("\"op\":\"tune\",\"budget\":1e12"),
+        std::string("\"op\":\"tune\",\"budget\":2.5"),
+        std::string("\"op\":\"optimize\",\"passes\":5"),
+        std::string("\"op\":\"estimate\",\"blocks\":\"yes\""),
+        std::string("\"op\":\"estimate\",\"options\":"
+                    "{\"constant_loop_bounds\":1}")}) {
+    std::string Resp =
+        S.handle("{" + Fields + ",\"source\":\"" + Src + "\"}");
+    EXPECT_NE(Resp.find("\"ok\":false"), std::string::npos) << Fields;
+  }
   // A program that does not parse is an ok:false response with the
   // diagnostics — and it is cached like any other deterministic answer.
   std::string Bad = S.handle(estimateRequest("int main( {"));
@@ -531,7 +590,7 @@ TEST(Service, MetricsDeterministicScopeIsByteIdenticalAcrossJobsAndCache) {
   EXPECT_EQ(Doc->valueOr("sest_service_requests_estimate", -1), 4.0);
   // Nothing live may leak into the deterministic scope.
   EXPECT_EQ(Doc->find("sest_service_request_us_count"), nullptr);
-  EXPECT_EQ(Doc->find("sest_service_cache_ast_hits"), nullptr);
+  EXPECT_EQ(Doc->find("sest_service_cache_cfg_hits"), nullptr);
   EXPECT_EQ(Doc->find("sest_service_batches"), nullptr);
   EXPECT_TRUE(obs::lintPrometheus(Expo).empty());
 }
@@ -552,9 +611,9 @@ TEST(Service, MetricsLiveScopeLintsCleanWithCacheGauges) {
   // Live scope carries the per-tier cache gauges and latency families.
   EXPECT_EQ(Doc->valueOr("sest_service_cache_response_hits", -1), 1.0);
   EXPECT_EQ(Doc->valueOr("sest_service_cache_response_misses", -1), 1.0);
-  EXPECT_GE(Doc->valueOr("sest_service_cache_ast_bytes", -1), 1.0);
+  EXPECT_GE(Doc->valueOr("sest_service_cache_cfg_bytes", -1), 1.0);
   EXPECT_EQ(Doc->valueOr("sest_service_request_us_count", -1), 2.0);
-  EXPECT_EQ(Doc->Types.at("sest_service_cache_ast_hits"), "gauge");
+  EXPECT_EQ(Doc->Types.at("sest_service_cache_cfg_hits"), "gauge");
 }
 
 TEST(Service, MetricsWithoutAmbientTelemetryStillServesCacheGauges) {
@@ -566,7 +625,7 @@ TEST(Service, MetricsWithoutAmbientTelemetryStillServesCacheGauges) {
   auto Doc = obs::parsePrometheus(Expo);
   ASSERT_TRUE(Doc.has_value());
   EXPECT_EQ(Doc->find("sest_service_requests"), nullptr);
-  EXPECT_EQ(Doc->valueOr("sest_service_cache_ast_misses", -1), 1.0);
+  EXPECT_EQ(Doc->valueOr("sest_service_cache_cfg_misses", -1), 1.0);
   EXPECT_TRUE(obs::lintPrometheus(Expo).empty());
 }
 
@@ -609,9 +668,9 @@ TEST(Service, StatsCarriesPerTierGauges) {
   };
   EXPECT_EQ(Gauge("service.cache.response.hits"), 1.0);
   EXPECT_EQ(Gauge("service.cache.response.misses"), 1.0);
-  EXPECT_EQ(Gauge("service.cache.ast.entries"), 1.0);
-  EXPECT_EQ(Gauge("service.cache.ast.evictions"), 0.0);
-  EXPECT_GE(Gauge("service.cache.ast.bytes"), 1.0);
+  EXPECT_EQ(Gauge("service.cache.cfg.entries"), 1.0);
+  EXPECT_EQ(Gauge("service.cache.cfg.evictions"), 0.0);
+  EXPECT_GE(Gauge("service.cache.cfg.bytes"), 1.0);
 }
 
 TEST(Service, RequestSpansAreByteIdenticalAcrossJobs) {

@@ -105,7 +105,7 @@ foreach(SNAP metrics_snap_j1.prom metrics_snap_live.prom)
 endforeach()
 
 file(READ ${WORKDIR}/metrics_snap_live.prom LIVE)
-if(NOT LIVE MATCHES "sest_service_cache_ast_misses")
+if(NOT LIVE MATCHES "sest_service_cache_cfg_misses")
   message(FATAL_ERROR "live snapshot missing cache tier gauges:\n${LIVE}")
 endif()
 if(NOT LIVE MATCHES "# TYPE sest_service_request_us histogram")
