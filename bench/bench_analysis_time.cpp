@@ -12,12 +12,22 @@
 /// each estimation pipeline, so the estimators can be compared against
 /// the cost of compilation itself.
 ///
+/// `--json FILE` writes the iteration timings as
+/// {"benchmarks": [{"name", "real_time", "time_unit"}], "gates": [...]}:
+/// one advisory gate per benchmark (real time within 3x of the
+/// baseline) and the sparse-over-dense solver speedup at 1000 blocks
+/// (at least 5x, advisory). google-benchmark's own --benchmark_out
+/// cannot carry the gates. The checked-in baseline is
+/// bench/analysis_time.json, written with
+/// --benchmark_filter='solver|pipeline'.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
 #include "lang/Parser.h"
 #include "suite/Synthetic.h"
+#include "support/Gates.h"
 
 #include <benchmark/benchmark.h>
 
@@ -209,12 +219,77 @@ void registerAll() {
         ->Arg(Jobs);
 }
 
+/// The console reporter, also keeping the iteration runs for `--json`.
+class RecordingReporter : public benchmark::ConsoleReporter {
+public:
+  std::vector<Run> Iterations;
+
+  void ReportRuns(const std::vector<Run> &Runs) override {
+    for (const Run &R : Runs)
+      if (R.run_type == Run::RT_Iteration && !R.error_occurred)
+        Iterations.push_back(R);
+    ConsoleReporter::ReportRuns(Runs);
+  }
+};
+
+bool writeJson(const std::string &Path,
+               const std::vector<RecordingReporter::Run> &Runs) {
+  JsonWriter W;
+  Gates G;
+  std::map<std::string, double> Times;
+  W.beginObject();
+  W.key("benchmarks").beginArray();
+  for (const RecordingReporter::Run &R : Runs) {
+    const std::string Name = R.benchmark_name();
+    const double Time = R.GetAdjustedRealTime();
+    if (!Times.emplace(Name, Time).second)
+      continue; // a repetition; gate names must stay unique
+    W.beginObject()
+        .member("name", Name)
+        .member("real_time", Time)
+        .member("time_unit", benchmark::GetTimeUnitString(R.time_unit))
+        .endObject();
+    G.factor("analysis_time." + Name + ".real_time", Gates::Advisory, Time,
+             3, Gates::Lower);
+  }
+  W.endArray();
+  // Both solvers run on the same host in the same process, so their
+  // ratio is the machine-independent half of the timing.
+  if (Times.count("solver/sparse/1000") && Times.count("solver/dense/1000"))
+    G.min("analysis_time.solver_sparse_speedup_1000", Gates::Advisory,
+          Times["solver/dense/1000"] / Times["solver/sparse/1000"], 5);
+  G.write(W);
+  W.endObject();
+  std::ofstream OutFile(Path);
+  if (!OutFile) {
+    bench::out("bench: cannot write '" + Path + "'\n");
+    return false;
+  }
+  OutFile << W.take();
+  bench::out("timings written to " + Path + "\n");
+  return true;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
+  // `--json FILE` is ours; everything else goes to google-benchmark.
+  std::string JsonPath;
+  std::vector<char *> Args;
+  for (int I = 0; I < argc; ++I) {
+    if (std::string_view(argv[I]) == "--json" && I + 1 < argc)
+      JsonPath = argv[++I];
+    else
+      Args.push_back(argv[I]);
+  }
+  int NumArgs = static_cast<int>(Args.size());
+  Args.push_back(nullptr);
   registerAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Initialize(&NumArgs, Args.data());
+  RecordingReporter Reporter;
+  benchmark::RunSpecifiedBenchmarks(&Reporter);
   benchmark::Shutdown();
+  if (!JsonPath.empty() && !writeJson(JsonPath, Reporter.Iterations))
+    return 1;
   return 0;
 }

@@ -16,9 +16,10 @@
 /// sest-interp-tiers/1 document: per-program wall times for all tiers,
 /// the native host-cc compile cost, and the compile+run amortization
 /// curve (after how many runs does paying the native compile beat
-/// re-running the bytecode VM). That file is the checked-in
-/// bench/interp_tiers.json baseline check_perf.py and bench_history.py
-/// read.
+/// re-running the bytecode VM), plus its advisory gates (bytecode over
+/// native at least 3x, suite native ms within 3x of the baseline; none
+/// without a host C compiler). That file is the checked-in
+/// bench/interp_tiers.json baseline; bench_history.py reads it too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 #include "interp/bytecode/BytecodeCompiler.h"
 #include "interp/bytecode/BytecodeVM.h"
 #include "lang/Parser.h"
+#include "support/Gates.h"
 
 #include <benchmark/benchmark.h>
 
@@ -332,6 +334,15 @@ int runTiersReport(const std::string &Path) {
     W.endArray();
   }
   W.endObject();
+  if (NativeAvailable) {
+    // A program whose native compile failed drops the speedup to 0.
+    double Speedup = AllNative && SuiteNative > 0 ? SuiteBc / SuiteNative : 0;
+    Gates()
+        .min("tiers.bytecode_over_native", Gates::Advisory, Speedup, 3)
+        .factor("tiers.native_ms", Gates::Advisory, SuiteNative, 3,
+                Gates::Lower)
+        .write(W);
+  }
   W.endObject();
 
   std::ofstream OutFile(Path);

@@ -13,10 +13,11 @@
 /// percentiles per stage: the flight-recorder view of "what does one
 /// cold request cost, stage by stage".
 ///
-/// `--json FILE` writes the sest-pipeline-latency/1 artifact consumed
-/// (advisorily) by scripts/check_perf.py; the checked-in baseline lives
-/// at bench/pipeline_latency.json. `--reps N` scales the sample count
-/// (N samples per pool program on average, default 20).
+/// `--json FILE` writes the sest-pipeline-latency/1 artifact with one
+/// advisory gate per stage (p90 within 3x of the baseline); the
+/// checked-in baseline lives at bench/pipeline_latency.json. `--reps N`
+/// scales the sample count (N samples per pool program on average,
+/// default 20).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include "cfg/Cfg.h"
 #include "lang/Parser.h"
 #include "obs/Telemetry.h"
+#include "support/Gates.h"
 
 #include <chrono>
 #include <fstream>
@@ -126,8 +128,11 @@ int main(int argc, char **argv) {
     W.member("repetitions", static_cast<uint64_t>(Reps));
     W.member("programs", static_cast<uint64_t>(WC.PoolSize));
     W.member("samples", static_cast<uint64_t>(Samples));
+    Gates G;
     W.key("stages").beginObject();
     for (const auto &[Name, H] : Hist.histograms()) {
+      G.factor("latency." + Name + ".p90_us", Gates::Advisory, H.p90(), 3,
+               Gates::Lower);
       W.key(Name).beginObject();
       W.member("count", static_cast<uint64_t>(H.Count))
           .member("mean_us", H.mean())
@@ -138,6 +143,7 @@ int main(int argc, char **argv) {
       W.endObject();
     }
     W.endObject();
+    G.write(W);
     W.endObject();
     std::ofstream OutFile(JsonPath);
     if (!OutFile) {

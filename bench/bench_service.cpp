@@ -20,9 +20,10 @@
 /// records into the installed Telemetry), the warm-over-cold speedup,
 /// and the warm service's per-tier cache counters.
 ///
-/// `--json FILE` writes the sest-service-throughput/1 artifact;
-/// the checked-in baseline lives at bench/service_throughput.json and
-/// scripts/check_perf.py enforces the >= 5x warm-over-cold floor.
+/// `--json FILE` writes the sest-service-throughput/1 artifact with its
+/// gates (no ok:false response, hard; the >= 5x warm-over-cold floor and
+/// warm req/s within 3x of the baseline, advisory); the checked-in
+/// baseline lives at bench/service_throughput.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "service/Service.h"
+#include "support/Gates.h"
 
 #include <chrono>
 #include <cstring>
@@ -295,6 +297,13 @@ int main(int argc, char **argv) {
       W.endObject();
     }
     W.endObject();
+    Gates()
+        .max("service.bad_responses", Gates::Hard,
+             static_cast<double>(Cold.BadResponses + Warm.BadResponses), 0)
+        .min("service.warm_speedup", Gates::Advisory, Speedup, 5)
+        .factor("service.warm_rps", Gates::Advisory, Warm.Rps, 3,
+                Gates::Higher)
+        .write(W);
     W.endObject();
     std::ofstream OutFile(JsonPath);
     if (!OutFile) {

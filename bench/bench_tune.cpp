@@ -15,9 +15,10 @@
 /// running the program.
 ///
 /// `--json FILE` writes the full sest-tune-report/1 document — the same
-/// artifact `sestune --report FILE` produces and the baseline checked
-/// in as bench/tune_report.json. No wall-clock fields: regenerating it
-/// on any machine, at any --jobs value, is diff-clean.
+/// artifact `sestune --report FILE` produces, plus the gates
+/// scripts/check_gates.py evaluates — and the baseline checked in as
+/// bench/tune_report.json. No wall-clock fields: regenerating it on any
+/// machine, at any --jobs value, is diff-clean.
 ///
 /// Exit status is non-zero when a tuned winner fails differential
 /// verification against the unoptimized run.
@@ -26,6 +27,7 @@
 
 #include "BenchCommon.h"
 
+#include "support/Gates.h"
 #include "tune/Tune.h"
 
 #include <fstream>
@@ -89,7 +91,15 @@ int main(int argc, char **argv) {
       out("bench: cannot write '" + JsonPath + "'\n");
       return 1;
     }
-    OutFile << tune::tuneReportJson(Report, Options);
+    // The gates ride on this artifact only: tuneReportJson is also the
+    // sestd `tune` response, which must not change.
+    Gates G;
+    G.min("tune.all_verified", Gates::Hard, Report.AllVerified, 1);
+    G.min("tune.static_search_recovery", Gates::Advisory,
+          Report.StaticSearchRecovery, Options.StaticSearchRecoveryFloor);
+    G.slack("tune.mean_config_overlap", Gates::Advisory,
+            Report.MeanConfigOverlap, 0.05, Gates::Higher);
+    OutFile << G.appendTo(tune::tuneReportJson(Report, Options));
     out("\ntune report written to " + JsonPath + "\n");
   }
 

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Append the current headline benchmark numbers to bench/history.jsonl.
 
-Reads the same reports check_perf.py validates — service_throughput.json
-(cold/warm service rps + warm speedup), analysis_time.json (the sparse
-vs dense solver speedup at n=1000), pipeline_latency.json (per-stage
-p99), interp_tiers.json (the native-over-bytecode execution-tier
-speedup with its compile break-even), and tune_report.json (the
-autotuner's static-search recovery, winning-config agreement, and mean
-regret) — condenses them into one history
-entry, appends it to
-``bench/history.jsonl``, and prints the deltas against the previous
-entry so a regression is visible the moment the history grows.
+Reads reports whose gates scripts/check_gates.py evaluates —
+service_throughput.json (cold/warm service rps + warm speedup),
+analysis_time.json (the sparse vs dense solver speedup at n=1000),
+pipeline_latency.json (per-stage p99), interp_tiers.json (the
+native-over-bytecode execution-tier speedup with its compile
+break-even), and tune_report.json (the autotuner's static-search
+recovery, winning-config agreement, and mean regret) — condenses them
+into one history entry, appends it to ``bench/history.jsonl``, and
+prints the deltas against the previous entry so a regression is
+visible the moment the history grows.
 
 The history is line-delimited JSON (one entry per line, schema
 ``sest-bench-history/1``) so it diffs cleanly, appends atomically, and

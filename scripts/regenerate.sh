@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every reproduced table and figure plus the test evidence,
-# and refreshes both checked-in baselines (bench/suite_report.json and
-# bench/accuracy_report.json). Baselines must come from a Release build:
+# and refreshes the checked-in baselines (bench/*.json; each declares
+# the gates scripts/check_gates.py evaluates). Baselines must come from
+# a Release build:
 # wall times from an unoptimized build are misleading, and mixing build
 # types makes the perf baseline incomparable — so this script configures
 # Release and fails loudly if the build directory disagrees.
@@ -27,43 +28,37 @@ cmake --build "$BUILD"
 
 ctest --test-dir "$BUILD" -j"$(nproc)" 2>&1 | tee test_output.txt
 
+# Each bench runs once; the ones with a checked-in baseline write it
+# from that run.
+baseline_args() {
+  case "$1" in
+    # Optimizer and autotuner outcomes (docs/OPTIMIZATION.md,
+    # docs/TUNING.md): no wall-clock fields, so these are diff-clean on
+    # any machine unless decisions actually changed.
+    bench_opt) echo --json bench/opt_report.json ;;
+    bench_tune) echo --json bench/tune_report.json ;;
+    # Wall-clock: expect the numbers to move between machines; their
+    # gates are advisory with 3x slack.
+    bench_pipeline_latency) echo --json bench/pipeline_latency.json ;;
+    bench_service) echo --json bench/service_throughput.json ;;
+  esac
+}
+
 for b in "$BUILD"/bench/bench_*; do
   [ -x "$b" ] || continue
   echo "===== $(basename "$b") ====="
-  "$b"
+  # shellcheck disable=SC2046
+  "$b" $(baseline_args "$(basename "$b")")
   echo
 done 2>&1 | tee bench_output.txt
 
 # Refresh the checked-in suite run report (per-program compile time,
-# per-input wall time and resource usage) — the trajectory baseline —
+# per-input wall time and resource usage; step counts are hard gates)
 # and the accuracy baseline (per-entity divergence attribution; see
-# docs/OBSERVABILITY.md and scripts/check_accuracy.py).
+# docs/OBSERVABILITY.md).
 "$BUILD"/tools/sestc --suite \
   --report bench/suite_report.json \
   --accuracy-report bench/accuracy_report.json
-
-# Refresh the optimizer baseline (static vs profile vs oracle layout /
-# inlining outcomes; see docs/OPTIMIZATION.md and scripts/check_perf.py).
-# The document has no wall-clock fields, so this is diff-clean on any
-# machine unless optimizer decisions actually changed.
-"$BUILD"/bench/bench_opt --json bench/opt_report.json
-
-# Refresh the autotuner baseline (static- vs profile-oracle search over
-# the pass-pipeline configuration space; see docs/TUNING.md and
-# scripts/check_perf.py). Also byte-deterministic: diff-clean on any
-# machine unless search outcomes actually changed.
-"$BUILD"/bench/bench_tune --json bench/tune_report.json
-
-# Refresh the pipeline stage latency baseline (per-stage p50/p90/p99;
-# advisory guard in scripts/check_perf.py). Wall-clock, so expect the
-# numbers to move between machines — the guard has 3x slack.
-"$BUILD"/bench/bench_pipeline_latency --json bench/pipeline_latency.json
-
-# Refresh the service throughput baseline (cold vs warm over the
-# million-request zipfian mix; see docs/SERVICE.md). The warm-over-cold
-# speedup floor in scripts/check_perf.py is machine-independent; the
-# absolute req/s numbers are wall-clock.
-"$BUILD"/bench/bench_service --json bench/service_throughput.json
 
 # Record the refreshed headline numbers (service rps, solver speedup,
 # stage p99s) in the bench history, with deltas vs the previous entry

@@ -9,7 +9,7 @@
 #include "metrics/Evaluation.h"
 #include "metrics/WeightMatching.h"
 #include "obs/Telemetry.h"
-#include "support/Json.h"
+#include "support/Gates.h"
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
 
@@ -392,6 +392,21 @@ sest::obs::accuracyReportJson(const std::vector<AccuracyReport> &Reports,
   for (const AccuracyReport &R : Reports)
     writeAccuracyReport(W, R, MaxEntities);
   W.endArray();
+  // Advisory until the toolchain float differences are mapped out.
+  Gates G;
+  for (const AccuracyReport &R : Reports) {
+    const std::string Prefix = "accuracy." + R.Program + ".";
+    const std::pair<const char *, double> Scores[] = {
+        {"block", R.Blocks.Score},
+        {"function", R.Functions.Score},
+        {"call_site", R.CallSites.Score},
+        {"intra", R.IntraScore}};
+    for (const auto &[Name, Score] : Scores)
+      G.slack(Prefix + Name, Gates::Advisory, Score, 0.005, Gates::Higher);
+    G.slack(Prefix + "miss_rate", Gates::Advisory, R.Miss.rate(), 0.005,
+            Gates::Lower);
+  }
+  G.write(W);
   W.endObject();
   assert(W.complete() && "unbalanced accuracy report document");
   return W.take();

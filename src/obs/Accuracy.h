@@ -23,7 +23,8 @@
 /// columns and inline branch annotations, "WORST n" divergence tables,
 /// and a machine-readable JSON document (schema `sest-accuracy-report/1`)
 /// whose suite-wide instance is the checked-in CI baseline
-/// (`bench/accuracy_report.json`, guarded by `scripts/check_accuracy.py`).
+/// (`bench/accuracy_report.json`); its advisory gates are evaluated by
+/// `scripts/check_gates.py`.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,7 +13,7 @@
 using namespace sest;
 using namespace sest::obs;
 
-thread_local EventLog *sest::obs::detail::ActiveLog = nullptr;
+constinit thread_local EventLog *sest::obs::detail::ActiveLog = nullptr;
 
 EventLog::~EventLog() {
   if (Installed)

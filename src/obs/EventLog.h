@@ -47,7 +47,7 @@ class EventLog;
 
 namespace detail {
 /// The log installed on this thread; null when decision logging is off.
-extern thread_local EventLog *ActiveLog;
+extern constinit thread_local EventLog *ActiveLog;
 } // namespace detail
 
 /// One key/value attribute of an event (string- or number-valued).

@@ -54,7 +54,7 @@ class Telemetry;
 
 namespace detail {
 /// The context installed on this thread; null when telemetry is off.
-extern thread_local Telemetry *Active;
+extern constinit thread_local Telemetry *Active;
 } // namespace detail
 
 /// Aggregated statistics of one histogram.

@@ -11,8 +11,8 @@
 #include "interp/bytecode/BytecodeCompiler.h"
 #include "obs/Parallel.h"
 #include "obs/Telemetry.h"
+#include "support/Gates.h"
 #include "support/Hash.h"
-#include "support/Json.h"
 
 #include <algorithm>
 #include <chrono>
@@ -559,6 +559,30 @@ std::string sest::opt::optReportJson(const OptSuiteReport &Report,
     W.endObject();
   }
   W.endObject();
+
+  // Verification and cross-checks are deterministic; the recovery floor
+  // and decision overlaps guard the trajectory.
+  Gates G;
+  if (DoLayout) {
+    double OverlapSum = 0.0;
+    for (const OptProgramReport &P : Report.Programs)
+      if (P.Ok)
+        OverlapSum += P.LayoutPairOverlap;
+    G.min("opt.layout_all_crosschecks_ok", Gates::Hard,
+          Report.AllCrossChecksOk, 1);
+    G.min("opt.static_recovery_ratio", Gates::Advisory,
+          Report.StaticRecoveryRatio, Options.StaticRecoveryFloor);
+    G.slack("opt.mean_layout_pair_overlap", Gates::Advisory,
+            ScoredCount ? OverlapSum / ScoredCount : 0.0, 0.05,
+            Gates::Higher);
+  }
+  if (DoInline) {
+    G.min("opt.inline_all_verified", Gates::Hard, Report.AllInlineVerified,
+          1);
+    G.slack("opt.mean_inline_jaccard", Gates::Advisory,
+            Report.MeanInlineJaccard, 0.05, Gates::Higher);
+  }
+  G.write(W);
 
   W.endObject();
   return W.take();

@@ -10,8 +10,8 @@
 #include "interp/bytecode/BytecodeVM.h"
 #include "obs/Parallel.h"
 #include "obs/Telemetry.h"
+#include "support/Gates.h"
 #include "support/Hash.h"
-#include "support/Json.h"
 
 #include <chrono>
 
@@ -249,6 +249,10 @@ sest::suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
   double TotalWallMs = 0.0, TotalCompileMs = 0.0;
   uint64_t TotalSteps = 0;
 
+  // Steps are engine-independent, so they gate exactly; wall time is
+  // host load and only advises. A failed program declares no gates, so
+  // its missing hard gate fails the check.
+  Gates G;
   W.key("programs");
   W.beginArray();
   for (const CompiledSuiteProgram &P : Programs) {
@@ -279,6 +283,8 @@ sest::suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
         W.member("blocks", Blocks);
       }
     }
+    uint64_t Steps = 0;
+    double WallMs = 0.0;
     W.key("runs");
     W.beginArray();
     for (const SuiteRunStats &S : P.RunStats) {
@@ -293,13 +299,20 @@ sest::suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
       W.member("exit_code", S.ExitCode);
       W.endObject();
       ++NumRuns;
-      TotalWallMs += S.WallMs;
-      TotalSteps += S.Steps;
+      Steps += S.Steps;
+      WallMs += S.WallMs;
     }
     W.endArray();
     W.endObject();
-    if (P.Ok)
+    TotalSteps += Steps;
+    TotalWallMs += WallMs;
+    if (P.Ok) {
       ++NumOk;
+      const std::string Prefix = "suite." + P.Spec->Name;
+      G.equal(Prefix + ".steps", Gates::Hard, static_cast<double>(Steps));
+      G.factor(Prefix + ".wall_ms", Gates::Advisory, WallMs, 3,
+               Gates::Lower);
+    }
     TotalCompileMs += P.CompileMs;
   }
   W.endArray();
@@ -333,6 +346,7 @@ sest::suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
     W.endObject();
   }
   W.endObject();
+  G.write(W);
 
   if (obs::Telemetry *T = obs::Telemetry::active()) {
     W.key("telemetry");
