@@ -88,10 +88,12 @@ int main(int argc, char **argv) {
     print("\nNo call site is inlinable under the default budget.\n");
     return 0;
   }
-  RunResult Base = runProgram(P.unit(), *P.Cfgs, Spec->Inputs.back(), {});
+  // The profiling pass's run of the last input is the baseline.
+  const SuiteRunStats &Base = P.RunStats.back();
   opt::InlineMap Map = opt::applyInlining(*P.Ctx, *P.Cfgs, Plan);
   RunResult Inl = runProgram(P.unit(), *P.Cfgs, Spec->Inputs.back(), {});
-  opt::InlineVerifyResult V = opt::compareInlinedRun(Base, Inl, Map);
+  opt::InlineVerifyResult V = opt::compareInlinedRun(
+      Base.Output, Base.ExitCode, P.Profiles.back(), Inl, Map);
   print("\nInlined " + std::to_string(Map.Applied.size()) +
         " sites; dynamic calls on input '" + Spec->Inputs.back().Name +
         "' dropped " + std::to_string(Base.LayoutCost.Calls) + " -> " +

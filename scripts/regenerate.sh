@@ -52,6 +52,13 @@ for b in "$BUILD"/bench/bench_*; do
   echo
 done 2>&1 | tee bench_output.txt
 
+# Two baselines come from a narrower run than the loop's, as in CI: the
+# solver / pipeline scaling benchmarks only, and the one-shot three-tier
+# comparison (--tiers-json skips the google-benchmark run).
+"$BUILD"/bench/bench_analysis_time --benchmark_filter='solver|pipeline' \
+  --json bench/analysis_time.json
+"$BUILD"/bench/bench_interp --tiers-json bench/interp_tiers.json
+
 # Refresh the checked-in suite run report (per-program compile time,
 # per-input wall time and resource usage; step counts are hard gates)
 # and the accuracy baseline (per-entity divergence attribution; see

@@ -24,15 +24,22 @@ std::string sest::printExpr(const Expr *E) {
     return exprCast<DeclRefExpr>(E)->name();
   case ExprKind::Unary: {
     const auto *U = exprCast<UnaryExpr>(E);
-    if (U->op() == UnaryOp::PostInc || U->op() == UnaryOp::PostDec)
-      return "(" + printExpr(U->operand()) + unaryOpSpelling(U->op()) + ")";
-    return std::string("(") + unaryOpSpelling(U->op()) +
-           printExpr(U->operand()) + ")";
+    std::string S = "(";
+    if (U->op() == UnaryOp::PostInc || U->op() == UnaryOp::PostDec) {
+      S += printExpr(U->operand());
+      S += unaryOpSpelling(U->op());
+    } else {
+      S += unaryOpSpelling(U->op());
+      S += printExpr(U->operand());
+    }
+    return S + ")";
   }
   case ExprKind::Binary: {
     const auto *B = exprCast<BinaryExpr>(E);
-    return "(" + printExpr(B->lhs()) + " " + binaryOpSpelling(B->op()) +
-           " " + printExpr(B->rhs()) + ")";
+    std::string S = "(";
+    S += printExpr(B->lhs());
+    return S + " " + binaryOpSpelling(B->op()) + " " + printExpr(B->rhs()) +
+           ")";
   }
   case ExprKind::Assign: {
     const auto *A = exprCast<AssignExpr>(E);
@@ -40,13 +47,16 @@ std::string sest::printExpr(const Expr *E) {
         A->compoundOp() ? std::string(binaryOpSpelling(*A->compoundOp())) +
                               "="
                         : "=";
-    return "(" + printExpr(A->lhs()) + " " + Op + " " +
-           printExpr(A->rhs()) + ")";
+    std::string S = "(";
+    S += printExpr(A->lhs());
+    return S + " " + Op + " " + printExpr(A->rhs()) + ")";
   }
   case ExprKind::Conditional: {
     const auto *C = exprCast<ConditionalExpr>(E);
-    return "(" + printExpr(C->cond()) + " ? " + printExpr(C->trueExpr()) +
-           " : " + printExpr(C->falseExpr()) + ")";
+    std::string S = "(";
+    S += printExpr(C->cond());
+    return S + " ? " + printExpr(C->trueExpr()) + " : " +
+           printExpr(C->falseExpr()) + ")";
   }
   case ExprKind::Call: {
     const auto *C = exprCast<CallExpr>(E);
@@ -69,7 +79,9 @@ std::string sest::printExpr(const Expr *E) {
   }
   case ExprKind::Cast: {
     const auto *C = exprCast<CastExpr>(E);
-    return "(" + C->targetType()->str() + ")" + printExpr(C->operand());
+    std::string S = "(";
+    S += C->targetType()->str();
+    return S + ")" + printExpr(C->operand());
   }
   case ExprKind::InitList: {
     const auto *L = exprCast<InitListExpr>(E);

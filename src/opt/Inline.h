@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sest {
@@ -137,11 +138,14 @@ struct InlineVerifyResult {
   std::string Detail; ///< First difference, empty when Match.
 };
 
-/// Compares a baseline run of the original program against a run of the
-/// inlined program on the same input: Ok/Output/ExitCode must be equal,
-/// and for successful runs the mapped inlined profile must equal the
-/// baseline profile bit-exactly.
-InlineVerifyResult compareInlinedRun(const RunResult &Base,
+/// Compares a completed baseline run of the original program (its
+/// output, exit code and profile) against a run of the inlined program
+/// on the same input: the inlined run must complete with the same
+/// output and exit code, and its mapped profile must equal the baseline
+/// profile bit-exactly.
+InlineVerifyResult compareInlinedRun(std::string_view BaseOutput,
+                                     int64_t BaseExitCode,
+                                     const Profile &BaseProfile,
                                      const RunResult &Inlined,
                                      const InlineMap &M);
 

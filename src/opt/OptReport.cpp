@@ -197,21 +197,12 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   const WeightSource WOracle = weightsFromProfile(Unit, Held, "oracle");
   const WeightSource *Sources[3] = {&WStatic, &WProfile, &WOracle};
 
-  // Identity-layout baseline runs of every input (exact re-runs of the
-  // profiling pass, now also carrying LayoutCostCounters).
+  // The identity-layout baselines are the profiling pass's own runs
+  // (CSP.RunStats with CSP.Profiles).
   InterpOptions RunOpts;
   RunOpts.Engine = Options.Engine;
-  std::vector<RunResult> BaseRuns(CSP.Profiles.size());
-  for (size_t I = 0; I < BaseRuns.size(); ++I) {
-    BaseRuns[I] = runProgram(Unit, *CSP.Cfgs, CSP.Spec->Inputs[I],
-                             RunOpts);
-    if (!BaseRuns[I].Ok) {
-      R.Error = "baseline run failed on input " +
-                CSP.Spec->Inputs[I].Name + ": " + BaseRuns[I].Error;
-      return R;
-    }
-  }
-  const LayoutCostCounters &BaseCost = BaseRuns[EvalIdx].LayoutCost;
+  const SuiteRunStats &EvalBase = CSP.RunStats[EvalIdx];
+  const LayoutCostCounters &BaseCost = EvalBase.LayoutCost;
   R.IdentityCost = BaseCost.cost();
 
   if (DoLayout) {
@@ -242,7 +233,7 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
         const RunResult Real = runProgram(
             Unit, *CSP.Cfgs, CSP.Spec->Inputs[EvalIdx], LayoutOpts);
         R.VmCrossCheckOk = Real.Ok && Real.LayoutCost == C &&
-                           Real.Output == BaseRuns[EvalIdx].Output;
+                           Real.Output == EvalBase.Output;
       }
     }
     R.LayoutPairOverlap =
@@ -317,7 +308,9 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
         const RunResult Inl = runProgram(Fresh.unit(), *Fresh.Cfgs,
                                          CSP.Spec->Inputs[I], RunOpts);
         const InlineVerifyResult V =
-            compareInlinedRun(BaseRuns[I], Inl, Map);
+            compareInlinedRun(CSP.RunStats[I].Output,
+                              CSP.RunStats[I].ExitCode, CSP.Profiles[I],
+                              Inl, Map);
         if (!V.Match) {
           IR.Verified = false;
           if (IR.VerifyDetail.empty())

@@ -170,8 +170,10 @@ struct OptSuiteReport {
 };
 
 /// Scores the passes over compiled-and-profiled programs (skipping
-/// failed ones). Parallel across programs; byte-identical results for
-/// every Jobs value and both engines.
+/// failed ones). Each program's recorded runs (RunStats with Profiles,
+/// from an identity-layout pass) are its identity baselines; the
+/// unoptimized program is never run again. Parallel across programs;
+/// byte-identical results for every Jobs value and both engines.
 OptSuiteReport
 computeOptReport(const std::vector<CompiledSuiteProgram> &Programs,
                  const OptReportOptions &Options = {});

@@ -121,13 +121,17 @@ std::string sest::writeProfileText(const Profile &P) {
     Out += "function " + std::to_string(F) + " entry " +
            formatDouble(FP.EntryCount, 6) + "\n";
     Out += "blocks";
-    for (double C : FP.BlockCounts)
-      Out += " " + formatDouble(C, 6);
+    for (double C : FP.BlockCounts) {
+      Out += ' ';
+      Out += formatDouble(C, 6);
+    }
     Out += "\n";
     for (size_t B = 0; B < FP.ArcCounts.size(); ++B) {
       Out += "arcs " + std::to_string(B);
-      for (double C : FP.ArcCounts[B])
-        Out += " " + formatDouble(C, 6);
+      for (double C : FP.ArcCounts[B]) {
+        Out += ' ';
+        Out += formatDouble(C, 6);
+      }
       Out += "\n";
     }
   }

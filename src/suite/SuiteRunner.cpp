@@ -6,6 +6,7 @@
 
 #include "suite/SuiteRunner.h"
 
+#include "backend/Native.h"
 #include "interp/bytecode/BytecodeCompiler.h"
 #include "interp/bytecode/BytecodeVM.h"
 #include "obs/Parallel.h"
@@ -26,24 +27,34 @@ double msSince(Clock::time_point Start) {
       .count();
 }
 
-/// Lowers a successfully compiled program to bytecode. The module is
-/// read-only at run time, so every input (possibly on several threads)
-/// executes against this one copy.
-void prepareEngine(CompiledSuiteProgram &P, const InterpOptions &Options) {
-  if (P.Ok && Options.Engine == InterpEngine::Bytecode)
-    P.Bc = std::make_unique<bc::BcModule>(
-        bc::compileBytecode(P.unit(), *P.Cfgs));
-  if (P.Ok && Options.Engine == InterpEngine::Native) {
-    P.Bc = std::make_unique<bc::BcModule>(
-        bc::compileBytecode(P.unit(), *P.Cfgs));
+/// The run engine of one program for the length of a suite pass: the
+/// bytecode module (and, on the native engine, the loaded shared object)
+/// is built once and shared, read-only, by every input run, concurrent
+/// ones included. Both are empty on the AST engine.
+struct RunEngine {
+  std::unique_ptr<bc::BcModule> Bc;
+  std::shared_ptr<const backend::NativeArtifact> Native;
+};
+
+/// Builds the engine for a successfully compiled program; a failed
+/// native compile marks the program failed.
+RunEngine prepareEngine(CompiledSuiteProgram &P,
+                        const InterpOptions &Options) {
+  RunEngine E;
+  if (!P.Ok || Options.Engine == InterpEngine::Ast)
+    return E;
+  E.Bc = std::make_unique<bc::BcModule>(
+      bc::compileBytecode(P.unit(), *P.Cfgs));
+  if (Options.Engine == InterpEngine::Native) {
     std::string Err;
-    P.Native = backend::cBackend().compile(
-        P.unit(), *P.Cfgs, *P.Bc, backend::planFromOptions(Options), &Err);
-    if (!P.Native) {
+    E.Native = backend::cBackend().compile(
+        P.unit(), *P.Cfgs, *E.Bc, backend::planFromOptions(Options), &Err);
+    if (!E.Native) {
       P.Ok = false;
       P.Error = P.Spec->Name + ": native compile failed: " + Err;
     }
   }
+  return E;
 }
 
 /// One timed input execution on whichever engine was prepared.
@@ -52,12 +63,13 @@ struct RunOutcome {
   double WallMs = 0.0;
 };
 
-RunOutcome timedRun(const CompiledSuiteProgram &P, const ProgramInput &Input,
+RunOutcome timedRun(const CompiledSuiteProgram &P, const RunEngine &E,
+                    const ProgramInput &Input,
                     const InterpOptions &Options) {
   Clock::time_point Start = Clock::now();
   RunOutcome O;
-  O.R = P.Native ? P.Native->run(P.unit(), *P.Cfgs, Input, Options)
-        : P.Bc   ? bc::runProgramBytecode(P.unit(), *P.Cfgs, *P.Bc, Input,
+  O.R = E.Native ? E.Native->run(P.unit(), *P.Cfgs, Input, Options)
+        : E.Bc   ? bc::runProgramBytecode(P.unit(), *P.Cfgs, *E.Bc, Input,
                                           Options)
                  : runProgram(P.unit(), *P.Cfgs, Input, Options);
   O.WallMs = msSince(Start);
@@ -68,27 +80,35 @@ RunOutcome timedRun(const CompiledSuiteProgram &P, const ProgramInput &Input,
 /// the run failed — the program's remaining inputs must be discarded.
 bool absorbRun(CompiledSuiteProgram &Out, const ProgramInput &Input,
                RunOutcome O) {
-  SuiteRunStats Stats;
-  Stats.InputName = Input.Name;
-  Stats.WallMs = O.WallMs;
-  Stats.Steps = O.R.StepsExecuted;
-  Stats.Cycles = O.R.TheProfile.TotalCycles;
-  Stats.HeapCellsHighWater = O.R.HeapCellsHighWater;
-  Stats.CallDepthHighWater = O.R.CallDepthHighWater;
-  Stats.ExitCode = O.R.ExitCode;
-  Out.RunStats.push_back(std::move(Stats));
-  if (!O.R.Ok) {
-    Out.Ok = false;
-    Out.Error = Out.Spec->Name + " on input '" + Input.Name +
-                "': " + O.R.Error;
-    return false;
-  }
-  O.R.TheProfile.ProgramName = Out.Spec->Name;
-  Out.Profiles.push_back(std::move(O.R.TheProfile));
-  return true;
+  if (recordRun(Out, Input, O.R, O.WallMs))
+    return true;
+  Out.Ok = false;
+  Out.Error =
+      Out.Spec->Name + " on input '" + Input.Name + "': " + O.R.Error;
+  return false;
 }
 
 } // namespace
+
+bool sest::recordRun(CompiledSuiteProgram &Out, const ProgramInput &Input,
+                     RunResult &R, double WallMs) {
+  SuiteRunStats Stats;
+  Stats.InputName = Input.Name;
+  Stats.WallMs = WallMs;
+  Stats.Steps = R.StepsExecuted;
+  Stats.Cycles = R.TheProfile.TotalCycles;
+  Stats.HeapCellsHighWater = R.HeapCellsHighWater;
+  Stats.CallDepthHighWater = R.CallDepthHighWater;
+  Stats.ExitCode = R.ExitCode;
+  Stats.Output = std::move(R.Output);
+  Stats.LayoutCost = R.LayoutCost;
+  Out.RunStats.push_back(std::move(Stats));
+  if (!R.Ok)
+    return false;
+  R.TheProfile.ProgramName = Out.Spec->Name;
+  Out.Profiles.push_back(std::move(R.TheProfile));
+  return true;
+}
 
 CompiledSuiteProgram sest::compileProgramOnly(const SuiteProgram &Program) {
   obs::ScopedPhase Phase("suite.compile", Program.Name);
@@ -121,12 +141,12 @@ sest::compileAndProfileProgram(const SuiteProgram &Program,
                                const InterpOptions &Options) {
   obs::ScopedPhase Phase("suite.program", Program.Name);
   CompiledSuiteProgram Out = compileProgramOnly(Program);
-  prepareEngine(Out, Options);
+  const RunEngine E = prepareEngine(Out, Options);
   if (!Out.Ok)
     return Out;
 
   for (const ProgramInput &Input : Program.Inputs)
-    if (!absorbRun(Out, Input, timedRun(Out, Input, Options)))
+    if (!absorbRun(Out, Input, timedRun(Out, E, Input, Options)))
       break;
   return Out;
 }
@@ -138,10 +158,11 @@ sest::compileAndProfileSuite(const InterpOptions &Options, unsigned Jobs) {
   // Compile (and lower) every program once, up front and serially —
   // compilation is a sliver of the suite's wall time.
   std::vector<CompiledSuiteProgram> Out;
+  std::vector<RunEngine> Engines;
   for (const SuiteProgram &P : benchmarkSuite()) {
     obs::ScopedPhase ProgPhase("suite.program", P.Name);
     Out.push_back(compileProgramOnly(P));
-    prepareEngine(Out.back(), Options);
+    Engines.push_back(prepareEngine(Out.back(), Options));
   }
 
   // Fan the (program, input) runs out over the worker pool; each worker
@@ -169,7 +190,8 @@ sest::compileAndProfileSuite(const InterpOptions &Options, unsigned Jobs) {
     obs::ScopedPhase TaskPhase("suite.task",
                                Out[Tasks[I].Prog].Spec->Name + "/" +
                                    Tasks[I].Input->Name);
-    Results[I] = timedRun(Out[Tasks[I].Prog], *Tasks[I].Input, Options);
+    Results[I] = timedRun(Out[Tasks[I].Prog], Engines[Tasks[I].Prog],
+                          *Tasks[I].Input, Options);
     // Worker busy time: the _us suffix marks it timing-valued, so the
     // serial/parallel counter-equality contract skips its value.
     obs::counterAdd("suite.pool.busy_us", Results[I].WallMs * 1000.0);

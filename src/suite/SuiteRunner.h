@@ -15,11 +15,9 @@
 #ifndef SUITE_SUITERUNNER_H
 #define SUITE_SUITERUNNER_H
 
-#include "backend/Native.h"
 #include "callgraph/CallGraph.h"
 #include "cfg/Cfg.h"
 #include "interp/Interp.h"
-#include "interp/bytecode/Bytecode.h"
 #include "lang/Parser.h"
 #include "obs/Accuracy.h"
 #include "profile/Profile.h"
@@ -31,7 +29,10 @@
 
 namespace sest {
 
-/// Timing and resource usage of one profiled input run.
+/// Timing, resource usage and observable behaviour of one profiled
+/// input run. With the input's profile, the behaviour fields are the
+/// identity baseline the tuner and the opt report compare optimized
+/// runs against; neither runs the unoptimized program again.
 struct SuiteRunStats {
   std::string InputName;
   double WallMs = 0.0;             ///< Wall time of the interpreter run.
@@ -40,6 +41,10 @@ struct SuiteRunStats {
   int64_t HeapCellsHighWater = 0;  ///< Peak live heap cells.
   unsigned CallDepthHighWater = 0; ///< Peak mini-C call depth.
   int64_t ExitCode = 0;
+  std::string Output; ///< Everything the program printed.
+  /// Control-transfer counters under the run's layout (identity: the
+  /// suite pass runs with InterpOptions::Layout unset).
+  LayoutCostCounters LayoutCost;
 };
 
 /// A suite program compiled and profiled on all its inputs.
@@ -48,18 +53,10 @@ struct CompiledSuiteProgram {
   std::unique_ptr<AstContext> Ctx;
   std::unique_ptr<CfgModule> Cfgs;
   std::unique_ptr<CallGraph> CG;
-  /// The program lowered to bytecode, compiled once and shared (it is
-  /// read-only at run time) by every input run — including concurrent
-  /// ones. Null when the AST engine is selected.
-  std::unique_ptr<bc::BcModule> Bc;
-  /// The loaded native artifact (shared object) when the native engine
-  /// is selected: compiled once per (program, layout plan) and shared by
-  /// every input run, concurrent ones included (run state lives in the
-  /// callee). Null for the interpreter engines.
-  std::shared_ptr<const backend::NativeArtifact> Native;
-  /// One profile per input, in input order.
+  /// One profile per completed input run, in input order.
   std::vector<Profile> Profiles;
-  /// Wall time / usage per input, parallel to Profiles.
+  /// One entry per input run, in input order; parallel to Profiles,
+  /// plus the failing run's entry when a run failed.
   std::vector<SuiteRunStats> RunStats;
   /// Wall time of compile + CFG + call-graph construction.
   double CompileMs = 0.0;
@@ -79,16 +76,23 @@ compileAndProfileProgram(const SuiteProgram &Program,
 /// Compiles only (no execution) — used by analysis-time benchmarks.
 CompiledSuiteProgram compileProgramOnly(const SuiteProgram &Program);
 
+/// Appends one run of \p Input to \p Out: its stats and behaviour to
+/// RunStats and, when the run completed, its profile to Profiles (the
+/// output and profile are moved out of \p R). Returns R.Ok; what a
+/// failed run means for the program is the caller's to record.
+bool recordRun(CompiledSuiteProgram &Out, const ProgramInput &Input,
+               RunResult &R, double WallMs);
+
 /// Compiles and profiles the entire suite (in Table 1 order). Programs
 /// that fail are still present with Ok == false.
 ///
-/// Each program is compiled (and lowered to bytecode) once; the
-/// (program, input) runs are then executed by obs::parallelFor on \p Jobs
-/// worker threads (0 = all cores). Every run collects into its own
-/// Telemetry context; the contexts are merged into the ambient one in
-/// input order, and a program's inputs after its first failing one are
-/// discarded, so results and telemetry are identical to a serial run
-/// regardless of the job count.
+/// Each program is compiled (and lowered to bytecode) once; the engine
+/// lives for this call only. The (program, input) runs are then executed
+/// by obs::parallelFor on \p Jobs worker threads (0 = all cores). Every
+/// run collects into its own Telemetry context; the contexts are merged
+/// into the ambient one in input order, and a program's inputs after its
+/// first failing one are discarded, so results and telemetry are
+/// identical to a serial run regardless of the job count.
 std::vector<CompiledSuiteProgram>
 compileAndProfileSuite(const InterpOptions &Options = {}, unsigned Jobs = 0);
 

@@ -36,6 +36,15 @@ struct Gen {
 
 std::string num(uint64_t V) { return std::to_string(V); }
 
+/// Prefix + decimal \p V. Appending to a named string rather than
+/// writing `"x" + num(V)` keeps gcc 12's -Wrestrict false positive on
+/// `operator+(const char *, std::string &&)` quiet.
+std::string named(const char *Prefix, uint64_t V) {
+  std::string S = Prefix;
+  S += num(V);
+  return S;
+}
+
 /// Serial counted loop nests with embedded two-way branches. Each nest
 /// is its own chain of small cyclic SCCs (one per loop level).
 std::string emitLoopNestFn(Gen &G, size_t Budget) {
@@ -49,7 +58,7 @@ std::string emitLoopNestFn(Gen &G, size_t Budget) {
   while (Used < Budget) {
     int Depth = 1 + static_cast<int>(G.R.nextBelow(MaxDepth));
     for (int D = 0; D < Depth; ++D) {
-      std::string V = "i" + num(D);
+      std::string V = named("i", D);
       std::string Bound = D == 0 ? "n" : num(2 + G.R.nextBelow(3));
       G.line(1 + D, "for (" + V + " = 0; " + V + " < " + Bound + "; " +
                         V + "++) {");
@@ -130,7 +139,7 @@ std::string emitGotoCyclesFn(Gen &G, size_t Budget) {
   G.line(1, "if (n % 3 == 1)");
   G.line(2, "goto L" + num(K / 2) + ";");
   for (size_t J = 0; J < K; ++J) {
-    G.line(0, "L" + num(J) + ":");
+    G.line(0, named("L", J) + ":");
     G.line(1, "i++;");
     G.line(1, "acc = acc + (i % " + num(2 + J % 5) + ");");
     // Backward within a small window keeps SCCs real but bounded;

@@ -240,7 +240,8 @@ std::string makeGrammar(uint64_t Seed, int Nts, int Ts, int Rules) {
       bool Terminal = R.nextBelow(3) != 0;
       int Sym = Terminal ? 64 + static_cast<int>(R.nextBelow(Ts))
                          : static_cast<int>(R.nextBelow(Nts));
-      S += " " + std::to_string(Sym);
+      S += ' ';
+      S += std::to_string(Sym);
     }
     S += "\n";
   }

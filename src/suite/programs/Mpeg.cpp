@@ -189,7 +189,10 @@ std::string makeStream(uint64_t Seed, int Quality, int Blocks) {
       int Level = static_cast<int>(R.nextInRange(-40, 40));
       if (Level == 0)
         Level = 7;
-      S += std::to_string(Run) + " " + std::to_string(Level) + " ";
+      S += std::to_string(Run);
+      S += ' ';
+      S += std::to_string(Level);
+      S += ' ';
     }
     S += "-1\n";
   }

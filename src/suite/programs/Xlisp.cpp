@@ -488,8 +488,10 @@ std::string makeForms(uint64_t Seed, int Count, int Depth) {
     std::string S = "(";
     S += Ops[Pick];
     unsigned Args = 2 + static_cast<unsigned>(R.nextBelow(3));
-    for (unsigned A = 0; A < Args; ++A)
-      S += " " + Gen(D - 1);
+    for (unsigned A = 0; A < Args; ++A) {
+      S += ' ';
+      S += Gen(D - 1);
+    }
     return S + ")";
   };
   std::string Out;

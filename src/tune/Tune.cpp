@@ -279,21 +279,22 @@ struct Search {
   }
 };
 
-/// Output / exit-code / profile identity of two runs of behaviorally
-/// equivalent programs (the layout run's counts must match the identity
-/// run's bit for bit).
-bool sameBehavior(const RunResult &A, const RunResult &B,
-                  std::string &Detail) {
-  if (A.Output != B.Output) {
+/// Output / exit-code / profile identity of the identity run recorded
+/// by the suite pass (\p Base, \p BaseProfile) and a run of a
+/// behaviorally equivalent program (the layout run's counts must match
+/// the identity run's bit for bit).
+bool sameBehavior(const SuiteRunStats &Base, const Profile &BaseProfile,
+                  const RunResult &B, std::string &Detail) {
+  if (Base.Output != B.Output) {
     Detail = "output differs";
     return false;
   }
-  if (A.ExitCode != B.ExitCode) {
+  if (Base.ExitCode != B.ExitCode) {
     Detail = "exit code differs";
     return false;
   }
-  if (A.TheProfile.Functions.size() != B.TheProfile.Functions.size() ||
-      A.TheProfile.CallSiteCounts != B.TheProfile.CallSiteCounts) {
+  if (BaseProfile.Functions.size() != B.TheProfile.Functions.size() ||
+      BaseProfile.CallSiteCounts != B.TheProfile.CallSiteCounts) {
     Detail = "profile differs";
     return false;
   }
@@ -318,22 +319,13 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   InterpOptions RunOpts;
   RunOpts.Engine = Options.Engine;
 
-  // Identity baseline runs of every input (the verification references,
-  // and the eval-input identity cost).
-  std::vector<RunResult> BaseRuns(CSP.Spec->Inputs.size());
-  for (size_t I = 0; I < BaseRuns.size(); ++I) {
-    BaseRuns[I] =
-        runProgram(Unit, *CSP.Cfgs, CSP.Spec->Inputs[I], RunOpts);
-    if (!BaseRuns[I].Ok) {
-      R.Error = "baseline run failed on input " +
-                CSP.Spec->Inputs[I].Name + ": " + BaseRuns[I].Error;
-      return R;
-    }
-  }
+  // The identity runs are the suite pass's own (CSP.RunStats and
+  // CSP.Profiles): the verification references, and the eval-input
+  // identity cost.
   const WeightSource WEvalIdentity =
       weightsFromProfile(Unit, CSP.Profiles[EvalIdx], "eval");
   R.IdentityEvalCost =
-      BaseRuns[EvalIdx].LayoutCost.cost() +
+      CSP.RunStats[EvalIdx].LayoutCost.cost() +
       opt::functionOrderCost(Unit, *CSP.CG, WEvalIdentity,
                              opt::identityFunctionOrder(Unit));
 
@@ -398,16 +390,17 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
         OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + RR.Error;
         break;
       }
+      const SuiteRunStats &Base = CSP.RunStats[I];
       std::string Detail;
       if (PR.HasInline) {
-        const opt::InlineVerifyResult V =
-            opt::compareInlinedRun(BaseRuns[I], RR, PR.Inlined);
+        const opt::InlineVerifyResult V = opt::compareInlinedRun(
+            Base.Output, Base.ExitCode, CSP.Profiles[I], RR, PR.Inlined);
         if (!V.Match) {
           OR.Verified = false;
           OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + V.Detail;
           break;
         }
-      } else if (!sameBehavior(BaseRuns[I], RR, Detail)) {
+      } else if (!sameBehavior(Base, CSP.Profiles[I], RR, Detail)) {
         OR.Verified = false;
         OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + Detail;
         break;
@@ -646,13 +639,12 @@ std::string sest::tune::tuneSource(std::string_view Source,
     InterpOptions RunOpts;
     RunOpts.Engine = Options.Engine;
     for (const ProgramInput &In : SP.Inputs) {
-      const RunResult RR = runProgram(CSP.unit(), *CSP.Cfgs, In, RunOpts);
-      if (!RR.Ok) {
+      RunResult RR = runProgram(CSP.unit(), *CSP.Cfgs, In, RunOpts);
+      if (!recordRun(CSP, In, RR, 0.0)) {
         CSP.Ok = false;
         CSP.Error = "run failed on input " + In.Name + ": " + RR.Error;
         break;
       }
-      CSP.Profiles.push_back(RR.TheProfile);
     }
   }
 

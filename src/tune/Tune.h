@@ -152,7 +152,10 @@ uint32_t tuneSearchSpaceSize();
 
 /// Runs the search for every oracle over every compiled-and-profiled
 /// program (skipping failed ones; programs need at least two inputs).
-/// Parallel across programs; byte-identical results for every Jobs value.
+/// Each program's recorded runs (RunStats with Profiles, from an
+/// identity-layout pass) are its identity baselines; the unoptimized
+/// program is never run again. Parallel across programs; byte-identical
+/// results for every Jobs value.
 TuneSuiteReport
 computeTuneReport(const std::vector<CompiledSuiteProgram> &Programs,
                   const TuneOptions &Options = {});

@@ -357,7 +357,8 @@ void checkInlineDifferential(const std::string &Source,
     Profile Mapped = opt::mapInlinedProfile(Map, InlRun.TheProfile);
     expectMappedEqual(BaseRun.TheProfile, Mapped);
     opt::InlineVerifyResult V =
-        opt::compareInlinedRun(BaseRun, InlRun, Map);
+        opt::compareInlinedRun(BaseRun.Output, BaseRun.ExitCode,
+                               BaseRun.TheProfile, InlRun, Map);
     EXPECT_TRUE(V.Match) << V.Detail;
   }
 }

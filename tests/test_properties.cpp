@@ -152,7 +152,8 @@ std::string randomProgram(Prng &R) {
   std::string Body;
   unsigned Loops = 1 + R.nextBelow(3);
   for (unsigned L = 0; L < Loops; ++L) {
-    std::string I = "i" + std::to_string(L);
+    std::string I = "i";
+    I += std::to_string(L);
     Body += "  for (int " + I + " = 0; " + I + " < " +
             std::to_string(2 + R.nextBelow(20)) + "; " + I + "++) {\n";
     if (R.nextBelow(2))

@@ -148,4 +148,42 @@ TEST(Suite, CompressHasSixteenFunctions) {
   EXPECT_EQ(Defined, 16u);
 }
 
+/// The suite pass's recorded identity runs are what the tuner and the
+/// opt report compare against instead of re-running, so every recorded
+/// output, exit code and layout-cost counter must equal a fresh run, on
+/// either interpreter engine and at any job count.
+TEST(SuiteRunner, RecordedBaselinesMatchFreshIdentityRuns) {
+  for (InterpEngine Engine : {InterpEngine::Ast, InterpEngine::Bytecode}) {
+    InterpOptions Options;
+    Options.Engine = Engine;
+    const std::vector<CompiledSuiteProgram> Serial =
+        compileAndProfileSuite(Options, 1);
+    const std::vector<CompiledSuiteProgram> Parallel =
+        compileAndProfileSuite(Options, 4);
+    ASSERT_EQ(Serial.size(), Parallel.size());
+    for (size_t P = 0; P < Serial.size(); ++P) {
+      const CompiledSuiteProgram &C = Serial[P];
+      ASSERT_TRUE(C.Ok) << C.Error;
+      ASSERT_TRUE(Parallel[P].Ok) << Parallel[P].Error;
+      const std::vector<ProgramInput> &Inputs = C.Spec->Inputs;
+      ASSERT_EQ(C.RunStats.size(), Inputs.size()) << C.Spec->Name;
+      ASSERT_EQ(Parallel[P].RunStats.size(), Inputs.size()) << C.Spec->Name;
+      for (size_t I = 0; I < Inputs.size(); ++I) {
+        const RunResult Fresh =
+            runProgram(C.unit(), *C.Cfgs, Inputs[I], Options);
+        ASSERT_TRUE(Fresh.Ok) << Fresh.Error;
+        for (const CompiledSuiteProgram *Rec : {&C, &Parallel[P]}) {
+          const SuiteRunStats &S = Rec->RunStats[I];
+          const std::string Where = std::string(interpEngineName(Engine)) +
+                                    " " + C.Spec->Name + "/" +
+                                    Inputs[I].Name;
+          EXPECT_EQ(S.Output, Fresh.Output) << Where;
+          EXPECT_EQ(S.ExitCode, Fresh.ExitCode) << Where;
+          EXPECT_EQ(S.LayoutCost, Fresh.LayoutCost) << Where;
+        }
+      }
+    }
+  }
+}
+
 } // namespace

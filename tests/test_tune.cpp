@@ -18,10 +18,12 @@
 #include "TestUtil.h"
 
 #include "callgraph/CallGraph.h"
+#include "obs/Telemetry.h"
 #include "opt/FuncOrder.h"
 #include "opt/Inline.h"
 #include "opt/Layout.h"
 #include "opt/Pass.h"
+#include "service/Service.h"
 #include "suite/SuiteRunner.h"
 #include "tune/Tune.h"
 
@@ -206,7 +208,8 @@ TEST(Pipeline, AnyPassOrderProducesVerifiedProgram) {
     EXPECT_EQ(Tuned.ExitCode, BaseRun.ExitCode);
     if (PR.HasInline) {
       opt::InlineVerifyResult V =
-          opt::compareInlinedRun(BaseRun, Tuned, PR.Inlined);
+          opt::compareInlinedRun(BaseRun.Output, BaseRun.ExitCode,
+                                 BaseRun.TheProfile, Tuned, PR.Inlined);
       EXPECT_TRUE(V.Match)
           << "order " << Pipe.config().orderString() << ": " << V.Detail;
     }
@@ -423,6 +426,58 @@ TEST(Tune, TuneSourceServesErrorsInBand) {
 
   std::string Bad = tune::tuneSource("int main( {", "");
   EXPECT_NE(Bad.find("\"ok\":false"), std::string::npos);
+}
+
+/// Calls of phase \p Name anywhere below \p Node.
+uint64_t phaseCalls(const obs::PhaseNode &Node, std::string_view Name) {
+  uint64_t N = 0;
+  for (const auto &C : Node.Children)
+    N += (C->Name == Name ? C->Count : 0) + phaseCalls(*C, Name);
+  return N;
+}
+
+/// The tuner reads the identity runs the suite pass recorded, so the
+/// only interpreter runs under tune.report are winner verifications: 14
+/// programs x 2 oracles x 5 inputs.
+TEST(Tune, RunsEachIdentityInputOnce) {
+  obs::Telemetry T;
+  T.install();
+  const std::vector<CompiledSuiteProgram> Suite =
+      compileAndProfileSuite(InterpOptions{}, 4);
+  tune::TuneOptions O;
+  O.Jobs = 4;
+  ASSERT_EQ(O.Budget, 24u);
+  const tune::TuneSuiteReport R = tune::computeTuneReport(Suite, O);
+  T.uninstall();
+  EXPECT_TRUE(R.AllVerified);
+
+  const obs::PhaseNode *Report = nullptr;
+  for (const auto &C : T.phaseTree().Children)
+    if (C->Name == "tune.report")
+      Report = C.get();
+  ASSERT_NE(Report, nullptr);
+  EXPECT_EQ(phaseCalls(*Report, "interp.run"), 140u);
+
+  // tune::tuneSource records its own runs the same way; a request whose
+  // input run fails keeps its exact error response.
+  service::Service S;
+  EXPECT_EQ(
+      S.handle(R"({"id":1,"op":"tune","source":"int main() { int x = )"
+               R"(read_int(); return 10 / x; }","input":"0","budget":2})"),
+      R"({"protocol":"sest-service/1","id":1,"op":"tune","ok":true,)"
+      R"("program_hash":"9306e83b7524a83f",)"
+      R"("result":{"schema":"sest-tune-report/1","oracles":["static",)"
+      R"("profile"],"budget":2,"seed":1,"engine":"ast",)"
+      R"("search_space":{"grid_points":240,"top_k":[0,2,4,8,16],)"
+      R"("max_callee_blocks":[8,24,48],"cold_fraction":[0,0.01,0.05,)"
+      R"(0.2],"pass_order":["inline-first","layout-first"],)"
+      R"("func_order":[false,true]},"programs":[{"name":"request",)"
+      R"("program_hash":"9306e83b7524a83f","ok":false,)"
+      R"("error":"run failed on input train: integer division by zero"}],)"
+      R"("suite":{"programs_scored":0,"static_search_reduction":0,)"
+      R"("profile_search_reduction":0,"static_search_recovery":1,)"
+      R"("recovery_floor":0.7,"meets_floor":true,)"
+      R"("mean_config_overlap":1,"mean_regret":0,"all_verified":true}}})");
 }
 
 } // namespace

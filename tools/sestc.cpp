@@ -585,7 +585,8 @@ void printOptimizePass(const opt::Pass &P, const opt::PassContext &PC,
     out(T.str());
     RunResult Inl = runProgram(Unit, PC.Cfgs, St.In, St.Interp);
     opt::InlineVerifyResult V =
-        opt::compareInlinedRun(*St.Base, Inl, PC.Inlined);
+        opt::compareInlinedRun(St.Base->Output, St.Base->ExitCode,
+                               St.Base->TheProfile, Inl, PC.Inlined);
     if (!V.Match) {
       out("inline verification FAILED: " + V.Detail + "\n");
       St.Rc = 1;
