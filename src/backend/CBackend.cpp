@@ -184,16 +184,22 @@ typedef struct sest_native_result {
 )__C__";
 
 const char *kRuntime = R"__C__(
-/* Inlining control: the per-instruction helpers (tick, load/store,
- * arithmetic) must inline into the generated bodies or the native tier
- * pays interpreter-grade call overhead per step; the limit / failure
- * paths must NOT inline or they bloat every such site. Plain `inline`
- * is only a hint gcc -O2 declines for the bigger helpers. */
+/* Inlining control. The emitter specializes each op at its site: the
+ * int fast path of an operator, the in-range stack or global access, a
+ * tick and its limit branch. The few helpers those sites call (sn_hot)
+ * are tiny and must inline, or the native tier pays interpreter-grade
+ * call overhead per step. Everything generic lives out of line and is
+ * compiled once: the full operator switch, the heap and failure paths
+ * of an access, non-int operands (sn_slow), and the limit and failure
+ * reporting (sn_cold). Force-inlining those at every op site is what
+ * made the host cc slow. */
 #if defined(__GNUC__)
 #define sn_hot static inline __attribute__((always_inline))
+#define sn_slow static __attribute__((noinline))
 #define sn_cold static __attribute__((noinline, cold))
 #else
 #define sn_hot static inline
+#define sn_slow static
 #define sn_cold static
 #endif
 
@@ -230,17 +236,20 @@ sn_hot sv sv_fn(int f) {
   return r;
 }
 
-sn_hot long long sv_as_int(sv v) {
+sn_slow long long sv_as_int_x(sv v) {
   if (v.k == 1u) return (long long)v.d;
   if (v.k == 2u) return v.po;
   if (v.k == 3u) return v.fn >= 0 ? 1 : 0;
   return v.i;
 }
+sn_hot long long sv_as_int(sv v) { return v.k == 0u ? v.i : sv_as_int_x(v); }
 sn_hot double sv_as_double(sv v) {
   if (v.k == 1u) return v.d;
   return (double)sv_as_int(v);
 }
-sn_hot int sv_truthy(sv v) {
+/* A number's value as a double; v.k must be 0 or 1. */
+sn_hot double rt_num(sv v) { return v.k == 1u ? v.d : (double)v.i; }
+sn_slow int sv_truthy_x(sv v) {
   switch (v.k) {
   case 0u: return v.i != 0;
   case 1u: return v.d != 0.0;
@@ -248,6 +257,7 @@ sn_hot int sv_truthy(sv v) {
   default: return v.fn >= 0;
   }
 }
+sn_hot int sv_truthy(sv v) { return v.k == 0u ? v.i != 0 : sv_truthy_x(v); }
 
 /* -- the per-run state (BytecodeVM's fields, C-shaped) -- */
 typedef struct sheap {
@@ -419,38 +429,49 @@ sn_cold void rt_limit_host_frame(rt *T, const char *name) {
 }
 
 /* -- step accounting -- */
-sn_hot void rt_tick(rt *T) {
+/* One step; returns nonzero when it trips the step limit. Code only
+ * reaches a tick while the run is not halted: every op that can halt
+ * (fail or exit) is followed by its own halt exit. So the limit branch
+ * is the only way a tick halts, and a site's `if (rt_tick(T))` stands
+ * for the tick plus the halt-flag reload after it. */
+sn_hot int rt_tick(rt *T) {
   T->steps += 1u;
   *T->cur_self += 1u;
   T->cycles += T->cost_factor;
-  if (T->steps > T->prm.max_steps) rt_limit_steps(T);
+  if (T->steps > T->prm.max_steps) {
+    rt_limit_steps(T);
+    return 1;
+  }
+  return 0;
 }
 
-/* One Tick instruction charging n steps. The fast path must reproduce
- * the per-step double accumulation bit-for-bit: with an integral cost
- * factor the batched add is exact (all partials are representable), so
- * it equals n single adds; otherwise fall back to the serial loop. Near
- * the step limit, run strictly per step so a limit trip reports the
- * same step count the VM would. */
-sn_hot void rt_tick_n(rt *T, unsigned long long n) {
+/* n single ticks, stopping at a limit trip. */
+sn_cold int rt_tick_serial(rt *T, unsigned long long n) {
   unsigned long long i;
-  if (T->steps + n > T->prm.max_steps) {
-    for (i = 0; i < n; ++i) {
-      rt_tick(T);
-      if (T->failed) return;
-    }
-    return;
-  }
+  for (i = 0; i < n; ++i)
+    if (rt_tick(T)) return 1;
+  return 0;
+}
+
+/* One Tick instruction charging n steps. The batched path must
+ * reproduce the per-step double accumulation bit-for-bit: with a cost
+ * factor of 1 the batched add is exact (all partials are representable),
+ * so it equals n single adds; any other factor runs serially. Near the
+ * step limit, run strictly per step so a limit trip reports the same
+ * step count the VM would. */
+sn_hot int rt_tick_n(rt *T, unsigned long long n) {
+  if (T->steps + n > T->prm.max_steps || T->cost_factor != 1.0)
+    return rt_tick_serial(T, n);
   T->steps += n;
   *T->cur_self += n;
-  if (T->cost_factor == 1.0)
-    T->cycles += (double)n;
-  else
-    for (i = 0; i < n; ++i) T->cycles += T->cost_factor;
+  T->cycles += (double)n;
+  return 0;
 }
 
 /* -- memory -- */
-sn_hot sv *rt_resolve(rt *T, unsigned sp, long long off, int wr) {
+/* Every address space and failure; rt_resolve inlines only the in-range
+ * stack and global accesses. Returns 0 after failing the run. */
+sn_slow sv *rt_resolve_x(rt *T, unsigned sp, long long off, int wr) {
   const char *what = wr ? "write" : "read";
   if (sp == 0u) {
     rt_fail2(T, "null pointer ", what, 0);
@@ -487,11 +508,18 @@ sn_hot sv *rt_resolve(rt *T, unsigned sp, long long off, int wr) {
     return T->heap[idx].cells + off;
   }
 }
-sn_hot sv rt_load(rt *T, unsigned sp, long long off) {
+sn_hot sv *rt_resolve(rt *T, unsigned sp, long long off, int wr) {
+  if (sp == 2u && (unsigned long long)off < (unsigned long long)T->nstack)
+    return T->stack + off;
+  if (sp == 1u && (unsigned long long)off < (unsigned long long)T->nglobals)
+    return T->globals + off;
+  return rt_resolve_x(T, sp, off, wr);
+}
+static inline sv rt_load(rt *T, unsigned sp, long long off) {
   sv *p = rt_resolve(T, sp, off, 0);
   return p ? *p : sv_int(0);
 }
-sn_hot void rt_store(rt *T, unsigned sp, long long off, sv v) {
+static inline void rt_store(rt *T, unsigned sp, long long off, sv v) {
   sv *p = rt_resolve(T, sp, off, 1);
   if (p) *p = v;
 }
@@ -631,8 +659,7 @@ static inline sv cv_pdata(sv v) {
 }
 
 /* -- binary operators (Runtime::applyBinary; op = BinaryOp int) -- */
-sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
-                        long long ls) {
+static sv rt_bin(rt *T, int op, sv l, sv r, long long rs, long long ls) {
   switch (op) {
   case 0: /* Add */
     if (l.k == 2u || r.k == 2u) {
@@ -750,6 +777,23 @@ sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
     break; /* LogicalAnd/LogicalOr are lowered to branches */
   }
   return sv_int(0);
+}
+/* An op site's slow path: every operand pair its inline int fast path
+ * does not take. Stores into dst and returns 0, or returns nonzero
+ * after failing the run (dst untouched). */
+sn_slow int rt_bin_x(rt *T, int op, sv *dst, sv l, sv r, long long rs,
+                     long long ls) {
+  sv v = rt_bin(T, op, l, r, rs, ls);
+  if (T->failed) return 1;
+  *dst = v;
+  return 0;
+}
+/* ++/-- on a cell that does not hold an int: d is +1 or -1, st the
+ * pointer stride (x + -1.0 is x - 1.0 bit for bit). */
+sn_slow sv rt_step_x(sv v, long long d, long long st) {
+  if (v.k == 2u) return sv_ptr(v.ps, v.po + d * st);
+  if (v.k == 1u) return sv_dbl(v.d + (double)d);
+  return sv_int(sv_as_int_x(v) + d);
 }
 
 /* -- builtins (Runtime::callBuiltin; kind = BuiltinKind int) -- */
@@ -895,6 +939,7 @@ private:
     const BcChunk *Ch = nullptr;
     std::string Name;
     bool IsInit = false;
+    int64_t FrameCells = 0; ///< Cells the call wrapper reserves.
     std::vector<size_t> SegStart;   ///< Ascending; SegStart[0] == 0.
     std::vector<int> SegBlock;      ///< Block id; -1 for a preamble.
     std::vector<uint8_t> SegCold;
@@ -969,6 +1014,73 @@ private:
     default:
       return E;
     }
+  }
+
+  /// One BinOp. Inline: the int-int fast path, then, for arithmetic and
+  /// comparisons, the path for two numbers at least one of which is a
+  /// double (kinds 0 and 1, so k | k == 1). Every other operand pair,
+  /// and every failing case, goes to rt_bin_x, whose nonzero return is
+  /// the halt check.
+  static std::string binOpText(const BcInstr &I, const std::string &Hlt) {
+    auto RS = [](uint16_t N) { return "R[" + std::to_string(N) + "]"; };
+    std::string D = RS(I.A), L = RS(I.B), R = RS(I.C);
+    std::string Li = L + ".i", Ri = R + ".i";
+    std::string Ln = "rt_num(" + L + ")", Rn = "rt_num(" + R + ")";
+    std::string Op, IntGuard, IntExpr, NumExpr, NumGuard;
+    bool NumIsDouble = false;
+    // Zero and -1 divisors (division by zero, INT64_MIN / -1) and shift
+    // amounts outside 0..63 take the slow path, which reports or
+    // computes them.
+    std::string DivGuard = " && " + Ri + " != 0 && " + Ri + " != -1";
+    switch (static_cast<BinaryOp>(I.Sub)) {
+    case BinaryOp::Add: Op = "+"; NumIsDouble = true; break;
+    case BinaryOp::Sub: Op = "-"; NumIsDouble = true; break;
+    case BinaryOp::Mul: Op = "*"; NumIsDouble = true; break;
+    case BinaryOp::Div:
+      Op = "/";
+      NumIsDouble = true;
+      IntGuard = DivGuard;
+      NumGuard = " && " + Rn + " != 0.0";
+      break;
+    case BinaryOp::Rem: Op = "%"; IntGuard = DivGuard; break;
+    case BinaryOp::Shl:
+      IntGuard = " && (unsigned long long)" + Ri + " <= 63u";
+      IntExpr = "(long long)((unsigned long long)" + Li + " << " + Ri + ")";
+      break;
+    case BinaryOp::Shr:
+      IntGuard = " && (unsigned long long)" + Ri + " <= 63u";
+      IntExpr = Li + " >> " + Ri;
+      break;
+    case BinaryOp::BitAnd: Op = "&"; break;
+    case BinaryOp::BitOr: Op = "|"; break;
+    case BinaryOp::BitXor: Op = "^"; break;
+    case BinaryOp::Lt: Op = "<"; NumExpr = Ln + " < " + Rn; break;
+    case BinaryOp::Gt: Op = ">"; NumExpr = Ln + " > " + Rn; break;
+    // Through the three-way compare, as the runtime does: NaN compares
+    // as equal, so it is <= and >= everything.
+    case BinaryOp::Le: Op = "<="; NumExpr = "!(" + Ln + " > " + Rn + ")"; break;
+    case BinaryOp::Ge: Op = ">="; NumExpr = "!(" + Ln + " < " + Rn + ")"; break;
+    case BinaryOp::Eq: Op = "=="; NumExpr = Ln + " == " + Rn; break;
+    case BinaryOp::Ne: Op = "!="; NumExpr = Ln + " != " + Rn; break;
+    case BinaryOp::LogicalAnd:
+    case BinaryOp::LogicalOr:
+      break; // lowered to branches; never a BinOp
+    }
+    if (!Op.empty())
+      IntExpr = Li + " " + Op + " " + Ri;
+    if (NumIsDouble)
+      NumExpr = Ln + " " + Op + " " + Rn;
+    std::string Text;
+    if (!IntExpr.empty())
+      Text = "if ((" + L + ".k | " + R + ".k) == 0u" + IntGuard + ") " + D +
+             " = sv_int(" + IntExpr + "); else ";
+    if (!NumExpr.empty())
+      Text += "if ((" + L + ".k | " + R + ".k) == 1u" + NumGuard +
+              ") " + D + " = " + (NumIsDouble ? "sv_dbl(" : "sv_int(") +
+              NumExpr + "); else ";
+    return Text + "if (rt_bin_x(T, " + std::to_string(I.Sub) + ", &" + D +
+           ", " + L + ", " + R + ", " + i64Lit(I.X) + ", " + i64Lit(I.Imm) +
+           ")) { " + Hlt + " }";
   }
 
   std::string arcBump(const FnState &St, uint16_t Block, unsigned Slot) {
@@ -1179,6 +1291,11 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
   };
   std::string NewRb = St.IsInit ? std::to_string(St.Ch->NumRegs)
                                 : "rb + " + std::to_string(St.Ch->NumRegs);
+  // rt_resolve(T, <loc>.ps, <loc>.po, wr); as a statement tail.
+  auto Resolve = [&](uint16_t Loc, const char *Wr) {
+    return "rt_resolve(T, " + RS(Loc) + ".ps, " + RS(Loc) + ".po, " + Wr +
+           ");";
+  };
   auto Ret = [&](const std::string &V) -> std::string {
     switch (Rg) {
     case Region::Hot:
@@ -1224,6 +1341,14 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
       O = "  " + RS(I.A) + " = T->globals[" + std::to_string(I.X) + "];\n";
     return true;
   case BcOp::LoadLocal:
+    // The call wrapper grew the stack to frame_base + FrameCells before
+    // the body runs, and callees restore it on return: an in-frame read
+    // cannot be out of bounds.
+    if (!St.IsInit && I.X >= 0 && I.X < St.FrameCells) {
+      O = "  " + RS(I.A) + " = T->stack[T->frame_base + " + i64Lit(I.X) +
+          "];\n";
+      return true;
+    }
     O = "  { long long off = T->frame_base + " + i64Lit(I.X) +
         "; if (off < 0 || off >= T->nstack) { rt_fail(T, \"stack read out "
         "of bounds\"); " +
@@ -1259,13 +1384,13 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
         ".po + " + i64Lit(I.X) + ");\n";
     return true;
   case BcOp::LoadCellD:
-    O = "  { sv v = rt_load(T, " + RS(I.B) + ".ps, " + RS(I.B) + ".po); " +
-        HltIf + " " + RS(I.A) + " = v; }\n";
+    O = "  { sv *p = " + Resolve(I.B, "0") + " if (!p) { " + Hlt + " } " +
+        RS(I.A) + " = *p; }\n";
     return true;
   case BcOp::ConvStore: {
     const auto *Ty = static_cast<const Type *>(I.Ptr);
-    O = "  { sv v = " + convExpr(Ty, RS(I.C)) + "; rt_store(T, " + RS(I.B) +
-        ".ps, " + RS(I.B) + ".po, v); " + HltIf + " " + RS(I.A) +
+    O = "  { sv v = " + convExpr(Ty, RS(I.C)) + "; sv *p = " +
+        Resolve(I.B, "1") + " if (!p) { " + Hlt + " } *p = v; " + RS(I.A) +
         " = v; }\n";
     return true;
   }
@@ -1316,27 +1441,24 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
       O = "  if (" + RS(I.B) + ".k == 3u) { " + RS(I.A) + " = " + RS(I.B) +
           "; } else if (" + RS(I.B) +
           ".k != 2u) { rt_fail(T, \"dereference of non-pointer value\"); " +
-          Hlt + " } else { sv v = rt_load(T, " + RS(I.B) + ".ps, " + RS(I.B) +
-          ".po); " + HltIf + " " + RS(I.A) + " = v; }\n";
+          Hlt + " } else { sv *p = " + Resolve(I.B, "0") + " if (!p) { " +
+          Hlt + " } " + RS(I.A) + " = *p; }\n";
     }
     return true;
   case BcOp::IncDec: {
     bool Inc = (I.Sub & bc::IncDecIsInc) != 0;
     bool Pre = (I.Sub & bc::IncDecIsPre) != 0;
-    std::string Sign = Inc ? "+" : "-";
-    O = "  { unsigned ls = " + RS(I.B) + ".ps; long long lo = " + RS(I.B) +
-        ".po; sv oldv; sv newv; oldv = rt_load(T, ls, lo); " + HltIf +
-        "\n    if (oldv.k == 2u) newv = sv_ptr(oldv.ps, oldv.po " + Sign +
-        " " + i64Lit(I.X) + "); else if (oldv.k == 1u) newv = sv_dbl(oldv.d " +
-        Sign + " 1.0); else newv = sv_int(sv_as_int(oldv) " + Sign +
-        " 1);\n    rt_store(T, ls, lo, newv); " + HltIf + " " + RS(I.A) +
-        " = " + (Pre ? "newv" : "oldv") + "; }\n";
+    // The write goes to the cell the read just resolved, so it cannot
+    // fail: one resolve serves both.
+    O = "  { sv oldv; sv newv; sv *p = " + Resolve(I.B, "0") + " if (!p) { " +
+        Hlt + " } oldv = *p;\n    newv = oldv.k == 0u ? sv_int(oldv.i " +
+        (Inc ? "+" : "-") + " 1) : rt_step_x(oldv, " + (Inc ? "1" : "-1") +
+        ", " + i64Lit(I.X) + "); *p = newv; " + RS(I.A) + " = " +
+        (Pre ? "newv" : "oldv") + "; }\n";
     return true;
   }
   case BcOp::BinOp:
-    O = "  { sv v = rt_bin(T, " + std::to_string(I.Sub) + ", " + RS(I.B) +
-        ", " + RS(I.C) + ", " + i64Lit(I.X) + ", " + i64Lit(I.Imm) + "); " +
-        HltIf + " " + RS(I.A) + " = v; }\n";
+    O = "  " + binOpText(I, Hlt) + "\n";
     return true;
   case BcOp::Conv: {
     const auto *Ty = static_cast<const Type *>(I.Ptr);
@@ -1345,13 +1467,15 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
   }
   case BcOp::Tick:
     if (I.X == 1)
-      O = "  rt_tick(T); " + HltIf + "\n";
+      O = "  if (rt_tick(T)) { " + Hlt + " }\n";
     else if (I.X > 1)
-      O = "  rt_tick_n(T, " + std::to_string(I.X) + "u); " + HltIf + "\n";
+      O = "  if (rt_tick_n(T, " + std::to_string(I.X) + "u)) { " + Hlt +
+          " }\n";
     return true;
   case BcOp::TickCall: {
     const auto *F = static_cast<const FunctionDecl *>(I.Ptr);
-    O = "  rt_tick(T);\n";
+    // The counters do not feed the tick, so they are charged first and
+    // the tick's limit branch is the halt check.
     if (I.X >= 0)
       O += "  T->cs[" + std::to_string(I.X) + "] += 1.0;\n";
     // On a halt at the call tick, the VM still charges the about-to-run
@@ -1367,7 +1491,7 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
              " <= (long long)(1u << 24)) { if (T->call_depth + 1u > "
              "T->call_depth_hw) T->call_depth_hw = T->call_depth + 1u; } } }";
     }
-    O += "  if (rt_halted(T)) {" + Leak + " " + Hlt + " }\n";
+    O += "  if (rt_tick(T)) {" + Leak + " " + Hlt + " }\n";
     return true;
   }
   case BcOp::BlockEnter: {
@@ -1376,8 +1500,10 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
     int64_t Base = Shape.BlockBase[St.Fid];
     if (Base < 0)
       return fail("internal error: no block base for function");
-    O = "  rt_tick(T); T->blk[" + std::to_string(Base + I.X) +
-        "] += 1.0; " + HltIf + "\n";
+    // The block count does not feed the tick: charge it, then the tick's
+    // limit branch is the halt check.
+    O = "  T->blk[" + std::to_string(Base + I.X) +
+        "] += 1.0; if (rt_tick(T)) { " + Hlt + " }\n";
     return true;
   }
   case BcOp::Jmp:
@@ -1674,6 +1800,9 @@ void CEmitter::emitWrapper(const FunctionDecl *F, std::string &Out) {
     const VarDecl *V = F->params()[P];
     const Type *PTy = P < ParamTypes.size() ? ParamTypes[P] : nullptr;
     std::string Sp, Loc;
+    bool InFrame = V->storage() != StorageKind::Global &&
+                   V->cellOffset() >= 0 &&
+                   V->cellOffset() < F->frameSizeCells();
     if (V->storage() == StorageKind::Global) {
       Sp = "1u";
       Loc = i64Lit(V->cellOffset());
@@ -1686,6 +1815,9 @@ void CEmitter::emitWrapper(const FunctionDecl *F, std::string &Out) {
     if (PTy && PTy->isStruct())
       Out += "  if (arg.k == 2u) rt_copy(T, " + Sp + ", " + Loc +
              ", arg.ps, arg.po, " + i64Lit(PTy->sizeInCells()) + ");\n";
+    else if (InFrame) // the frame was grown above
+      Out += "  T->stack[" + Loc + "] = " + convExpr(V->type(), "arg") +
+             ";\n";
     else
       Out += "  rt_store(T, " + Sp + ", " + Loc + ", " +
              convExpr(V->type(), "arg") + ");\n";
@@ -1743,6 +1875,7 @@ bool CEmitter::emit(std::string &Out) {
     St.Fid = static_cast<uint32_t>(Fid);
     St.Ch = Ch;
     St.Name = ByFid[Fid]->name();
+    St.FrameCells = ByFid[Fid]->frameSizeCells();
     if (!prepareFn(St) || !generateChunk(St))
       return false;
   }

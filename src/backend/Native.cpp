@@ -32,6 +32,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include <dlfcn.h>
@@ -153,6 +154,20 @@ bool sest::backend::nativeEngineAvailable(std::string *Why) {
   return false;
 }
 
+// -fwrapv: the VM's int64 arithmetic wraps; make the C side match.
+// -lm: the sqrt builtin; don't rely on the host process having libm.
+// -Og: the emitted code is already specialized per op (the generic
+// helpers are out of line), so what -O1 adds over -Og buys little run
+// time at twice the compile time. Measured on gcc 12.2, x86-64, for
+// the gcc, compress and alvinn suite programs: cc takes 2.8 / 3.9 /
+// 7.5 / 10.4 s at -O0 / -Og / -O1 / -O2, and the compiled runs at -Og
+// are within 25% of -O1 and 3x faster than -O0 (docs/PERFORMANCE.md).
+std::vector<std::string> sest::backend::hostCompileArgv(
+    const std::string &CPath, const std::string &SoPath) {
+  return {hostCompilerPath(), "-Og",   "-fPIC", "-fwrapv", "-shared",
+          "-o",               SoPath,  CPath,   "-lm"};
+}
+
 bool CBackend::available(std::string *Why) const {
   return nativeEngineAvailable(Why);
 }
@@ -177,6 +192,7 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
   auto T0 = std::chrono::steady_clock::now();
   std::string Err;
   std::string Source = emitSource(Unit, Cfgs, Bc, Plan, &Err);
+  auto EmitEnd = std::chrono::steady_clock::now();
   if (Source.empty()) {
     if (Error)
       *Error = Err;
@@ -200,7 +216,11 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
     return nullptr;
   }
 
-  obs::ScopedPhase Phase("native.compile", Hash);
+  // A cold compile: emission (timed before the memo lookup), host cc,
+  // then dlopen and the ABI handshake. A memo hit records none of them.
+  obs::ScopedPhase Phase("native.compile", Hash, T0);
+  obs::recordPhase("native.emit", Hash, T0, EmitEnd);
+  std::optional<obs::ScopedPhase> Step(std::in_place, "native.cc", Hash);
   // Scratch files go under $TMPDIR, falling back to /tmp.
   const char *TmpEnv = std::getenv("TMPDIR");
   const std::string TmpRoot = TmpEnv && *TmpEnv ? TmpEnv : "/tmp";
@@ -231,18 +251,11 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
     }
   }
 
-  // -fwrapv: the VM's int64 arithmetic wraps; make the C side match.
-  // -lm: the sqrt builtin — don't rely on the host process having libm.
-  // -O1: measured identical run time to -O2 on the whole suite (the
-  // hot helpers carry always_inline themselves) at ~60% of the compile
-  // latency, which is what the break-even curve actually pays.
-  std::vector<std::string> Argv = {hostCompilerPath(), "-O1",  "-fPIC",
-                                   "-fwrapv",          "-shared", "-o",
-                                   SoPath,             CPath,  "-lm"};
-  if (!runCommand(Argv, DiagPath, Error)) {
+  if (!runCommand(hostCompileArgv(CPath, SoPath), DiagPath, Error)) {
     Cleanup();
     return nullptr;
   }
+  Step.emplace("native.dlopen", Hash);
 
   void *H = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!H) {

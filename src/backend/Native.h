@@ -92,6 +92,12 @@ bool nativeEngineAvailable(std::string *Why = nullptr);
 /// found ($CC, then cc / gcc / clang on PATH; probed once per process).
 const std::string &hostCompilerPath();
 
+/// The host cc command that builds an artifact: the probed compiler and
+/// the product flags, compiling \p CPath into the shared object
+/// \p SoPath. The only place those flags are spelled.
+std::vector<std::string> hostCompileArgv(const std::string &CPath,
+                                         const std::string &SoPath);
+
 /// Builds the layout plan runProgramNative bakes into an artifact for a
 /// run with the given InterpOptions::Layout (classification must match
 /// layoutPositions; no cold outlining, since a bare ProgramBlockOrder

@@ -265,7 +265,7 @@ protected:
       }
       if (L.isDouble() || R.isDouble())
         return Value::makeDouble(L.asDouble() + R.asDouble());
-      return Value::makeInt(L.asInt() + R.asInt());
+      return Value::makeInt(wrapAdd(L.asInt(), R.asInt()));
     }
     case BinaryOp::Sub: {
       if (L.isPtr() && R.isPtr()) {
@@ -281,12 +281,12 @@ protected:
       }
       if (L.isDouble() || R.isDouble())
         return Value::makeDouble(L.asDouble() - R.asDouble());
-      return Value::makeInt(L.asInt() - R.asInt());
+      return Value::makeInt(wrapSub(L.asInt(), R.asInt()));
     }
     case BinaryOp::Mul:
       if (L.isDouble() || R.isDouble())
         return Value::makeDouble(L.asDouble() * R.asDouble());
-      return Value::makeInt(L.asInt() * R.asInt());
+      return Value::makeInt(wrapMul(L.asInt(), R.asInt()));
     case BinaryOp::Div:
       if (L.isDouble() || R.isDouble()) {
         double D = R.asDouble();
@@ -391,6 +391,21 @@ protected:
 
   /// INT64_MIN / -1 (and its remainder) does not fit in 64 bits; the host
   /// division would trap.
+  /// Mini-C int +, - and * wrap modulo 2^64, as -fwrapv makes them in
+  /// the native tier; computed in uint64_t so the host never overflows.
+  static int64_t wrapAdd(int64_t L, int64_t R) {
+    return static_cast<int64_t>(static_cast<uint64_t>(L) +
+                                static_cast<uint64_t>(R));
+  }
+  static int64_t wrapSub(int64_t L, int64_t R) {
+    return static_cast<int64_t>(static_cast<uint64_t>(L) -
+                                static_cast<uint64_t>(R));
+  }
+  static int64_t wrapMul(int64_t L, int64_t R) {
+    return static_cast<int64_t>(static_cast<uint64_t>(L) *
+                                static_cast<uint64_t>(R));
+  }
+
   static bool isQuotientOverflow(int64_t L, int64_t R) {
     return R == -1 && L == std::numeric_limits<int64_t>::min();
   }

@@ -101,11 +101,17 @@ void Telemetry::setTrack(uint32_t Id, std::string_view Name) {
     TrackNames[Id] = std::string(Name);
 }
 
-uint64_t Telemetry::nowUs() const {
+uint64_t
+Telemetry::sinceEpochUs(std::chrono::steady_clock::time_point T) const {
+  if (T <= Epoch)
+    return 0;
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Epoch)
+      std::chrono::duration_cast<std::chrono::microseconds>(T - Epoch)
           .count());
+}
+
+uint64_t Telemetry::nowUs() const {
+  return sinceEpochUs(std::chrono::steady_clock::now());
 }
 
 //===----------------------------------------------------------------------===//
@@ -147,6 +153,13 @@ void Telemetry::record(std::string_view Name, double Sample) {
 }
 
 void Telemetry::beginPhase(std::string_view Name, std::string_view Detail) {
+  beginPhase(Name, Detail, std::chrono::steady_clock::now());
+}
+
+void Telemetry::endPhase() { endPhase(std::chrono::steady_clock::now()); }
+
+void Telemetry::beginPhase(std::string_view Name, std::string_view Detail,
+                           std::chrono::steady_clock::time_point Start) {
   PhaseNode *Parent = Open.empty() ? &Root : Open.back().Node;
   PhaseNode *Node = nullptr;
   for (const auto &C : Parent->Children)
@@ -159,16 +172,17 @@ void Telemetry::beginPhase(std::string_view Name, std::string_view Detail) {
     Node = Parent->Children.back().get();
     Node->Name = std::string(Name);
   }
-  Open.push_back({Node, std::string(Detail), nowUs()});
+  Open.push_back({Node, std::string(Detail), sinceEpochUs(Start)});
 }
 
-void Telemetry::endPhase() {
+void Telemetry::endPhase(std::chrono::steady_clock::time_point End) {
   assert(!Open.empty() && "endPhase() without beginPhase()");
   if (Open.empty())
     return;
   OpenPhase P = std::move(Open.back());
   Open.pop_back();
-  uint64_t Dur = nowUs() - P.StartUs;
+  uint64_t EndUs = sinceEpochUs(End);
+  uint64_t Dur = EndUs > P.StartUs ? EndUs - P.StartUs : 0;
   P.Node->Count += 1;
   P.Node->TotalUs += Dur;
   if (!Open.empty())

@@ -158,6 +158,12 @@ public:
   /// order (use ScopedPhase).
   void beginPhase(std::string_view Name, std::string_view Detail = {});
   void endPhase();
+  /// The same with explicit times, for work that ran before the caller
+  /// knew it would be recorded (a compile's emission, measured before
+  /// the memo lookup that decides whether there is a compile at all).
+  void beginPhase(std::string_view Name, std::string_view Detail,
+                  std::chrono::steady_clock::time_point Start);
+  void endPhase(std::chrono::steady_clock::time_point End);
 
   /// Folds everything \p Other collected into this context: counters
   /// sum, gauges take the max, histograms combine, \p Other's phase
@@ -207,6 +213,7 @@ public:
 
 private:
   uint64_t nowUs() const;
+  uint64_t sinceEpochUs(std::chrono::steady_clock::time_point T) const;
 
   struct OpenPhase {
     PhaseNode *Node;
@@ -273,6 +280,24 @@ inline bool telemetryActive() {
 #endif
 }
 
+/// Records one closed phase spanning [\p Start, \p End] under the
+/// innermost open phase.
+inline void recordPhase(std::string_view Name, std::string_view Detail,
+                        std::chrono::steady_clock::time_point Start,
+                        std::chrono::steady_clock::time_point End) {
+#ifndef SEST_OBS_DISABLED
+  if (Telemetry *T = detail::Active) {
+    T->beginPhase(Name, Detail, Start);
+    T->endPhase(End);
+  }
+#else
+  (void)Name;
+  (void)Detail;
+  (void)Start;
+  (void)End;
+#endif
+}
+
 /// RAII phase span. Captures the active context at construction, so it
 /// stays balanced even if the context is uninstalled within the scope.
 class ScopedPhase {
@@ -286,6 +311,19 @@ public:
 #else
     (void)Name;
     (void)Detail;
+#endif
+  }
+  /// A phase backdated to \p Start.
+  ScopedPhase(std::string_view Name, std::string_view Detail,
+              std::chrono::steady_clock::time_point Start) {
+#ifndef SEST_OBS_DISABLED
+    T = detail::Active;
+    if (T)
+      T->beginPhase(Name, Detail, Start);
+#else
+    (void)Name;
+    (void)Detail;
+    (void)Start;
 #endif
   }
   ~ScopedPhase() {

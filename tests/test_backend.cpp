@@ -6,9 +6,11 @@
 ///
 /// \file
 /// Unit tests for the compile-to-C backend: capability probing, byte-
-/// deterministic emission, artifact memoization, and layout-true code
-/// emission (an artifact compiled for the optimizer's layout must be a
-/// different translation unit with identical observable semantics).
+/// deterministic emission, artifact memoization, compile-phase
+/// telemetry, warning-free builds at the product cc flags, and
+/// layout-true code emission (an artifact compiled for the optimizer's
+/// layout must be a different translation unit with identical
+/// observable semantics).
 /// Emission tests run everywhere; compile/run tests skip cleanly on
 /// hosts without a C compiler.
 ///
@@ -16,7 +18,9 @@
 
 #include "backend/Backend.h"
 #include "backend/Native.h"
+#include "estimators/Pipeline.h"
 #include "interp/bytecode/BytecodeCompiler.h"
+#include "obs/Telemetry.h"
 #include "opt/Layout.h"
 #include "opt/WeightSource.h"
 #include "suite/Suite.h"
@@ -24,7 +28,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 using namespace sest;
 
@@ -240,6 +246,103 @@ TEST(Backend, LayoutTrueEmissionPreservesSemantics) {
       runProgram(C.unit(), *C.Cfgs, P->Inputs.front(), AstLayout);
   EXPECT_EQ(RId.LayoutCost.cost(), WalkId.LayoutCost.cost());
   EXPECT_EQ(RLay.LayoutCost.cost(), WalkLay.LayoutCost.cost());
+}
+
+/// A cold compile records native.compile with one native.emit, one
+/// native.cc and one native.dlopen child; a memo hit records nothing.
+TEST(Backend, ColdCompileRecordsEachPhaseOnce) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  SuiteProgram SP;
+  SP.Name = "phases";
+  // A source no other test compiles, so the artifact cache is cold.
+  SP.Source = "int main() { print_int(51977); return 0; }";
+  CompiledSuiteProgram C = compileProgramOnly(SP);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  bc::BcModule Bc = bc::compileBytecode(C.unit(), *C.Cfgs);
+
+  auto Child = [](const obs::PhaseNode &N,
+                  const std::string &Name) -> const obs::PhaseNode * {
+    for (const auto &Ch : N.Children)
+      if (Ch->Name == Name)
+        return Ch.get();
+    return nullptr;
+  };
+  obs::Telemetry Cold;
+  Cold.install();
+  std::string Err;
+  auto A = backend::cBackend().compile(C.unit(), *C.Cfgs, Bc, {}, &Err);
+  Cold.uninstall();
+  ASSERT_NE(A, nullptr) << Err;
+  const obs::PhaseNode *Compile = Child(Cold.phaseTree(), "native.compile");
+  ASSERT_NE(Compile, nullptr);
+  EXPECT_EQ(Compile->Count, 1u);
+  ASSERT_EQ(Compile->Children.size(), 3u);
+  uint64_t ChildUs = 0;
+  for (const char *Name : {"native.emit", "native.cc", "native.dlopen"}) {
+    const obs::PhaseNode *N = Child(*Compile, Name);
+    ASSERT_NE(N, nullptr) << Name;
+    EXPECT_EQ(N->Count, 1u) << Name;
+    ChildUs += N->TotalUs;
+  }
+  EXPECT_LE(ChildUs, Compile->TotalUs);
+  EXPECT_GT(Child(*Compile, "native.cc")->TotalUs, 0u);
+
+  obs::Telemetry Hit;
+  Hit.install();
+  auto B = backend::cBackend().compile(C.unit(), *C.Cfgs, Bc, {}, &Err);
+  Hit.uninstall();
+  EXPECT_EQ(A.get(), B.get());
+  EXPECT_TRUE(Hit.phaseTree().Children.empty());
+}
+
+/// Runs \p Argv with its output discarded; true on exit status 0.
+bool runQuietly(const std::vector<std::string> &Argv) {
+  std::string Cmd;
+  for (const std::string &A : Argv)
+    Cmd += "'" + A + "' ";
+  Cmd += ">/dev/null 2>&1";
+  return std::system(Cmd.c_str()) == 0;
+}
+
+/// The emitted C builds warning-free at exactly the product's cc flags:
+/// identity and static-estimate layout-true translation units of three
+/// suite programs, under hostCompileArgv plus -Wall -Werror.
+TEST(Backend, EmittedCBuildsWarningFreeAtProductFlags) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  const std::string Dir = ::testing::TempDir();
+  for (const char *Name : {"compress", "espresso", "xlisp"}) {
+    Lowered L(Name);
+    ASSERT_TRUE(L.C.Ok) << L.C.Error;
+    EstimatorOptions Est;
+    ProgramEstimate E = estimateProgram(L.C.unit(), *L.C.Cfgs, *L.C.CG, Est);
+    backend::NativeLayoutPlan Layout = planFromLayout(opt::computeBlockLayout(
+        L.C.unit(), *L.C.Cfgs,
+        opt::weightsFromEstimate(L.C.unit(), *L.C.Cfgs, E, Est)));
+    for (const auto &[Suffix, Plan] :
+         {std::pair<const char *, backend::NativeLayoutPlan>{"", {}},
+          {".layout", Layout}}) {
+      std::string Err;
+      std::string Src = backend::cBackend().emitSource(L.C.unit(), *L.C.Cfgs,
+                                                       L.Bc, Plan, &Err);
+      ASSERT_FALSE(Src.empty()) << Err;
+      std::string Base = Dir + "/werror_" + Name + Suffix;
+      {
+        std::ofstream Out(Base + ".c", std::ios::binary);
+        Out << Src;
+      }
+      std::vector<std::string> Argv =
+          backend::hostCompileArgv(Base + ".c", Base + ".so");
+      Argv.push_back("-Wall");
+      Argv.push_back("-Werror");
+      EXPECT_TRUE(runQuietly(Argv)) << Name << Suffix;
+      std::remove((Base + ".c").c_str());
+      std::remove((Base + ".so").c_str());
+    }
+  }
 }
 
 } // namespace

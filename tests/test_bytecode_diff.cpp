@@ -12,7 +12,9 @@
 /// runner must match a serial run. When a host C compiler exists, the
 /// same contract extends three ways to the native tier: a limit matrix
 /// (step / heap / call-depth sweeps) must trip the identical LimitHit
-/// with identical high-water marks across all three engines.
+/// with identical high-water marks across all three engines, every
+/// binary operator must agree on every operand kind and failing case,
+/// and a step limit at any step must stop every engine identically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +22,12 @@
 #include "obs/Telemetry.h"
 #include "suite/Suite.h"
 #include "suite/SuiteRunner.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 using namespace sest;
 
@@ -275,6 +279,26 @@ TEST_P(NativeDiffTest, LimitMatrixMatchesBothEngines) {
   }
 }
 
+/// A seeded sample of step limits across the whole first-input run, so
+/// limits land inside every kind of op, not just the first few steps.
+TEST_P(NativeDiffTest, SampledStepLimitsMatchBothEngines) {
+  const SuiteProgram *P = findSuiteProgram(GetParam());
+  ASSERT_NE(P, nullptr);
+  CompiledSuiteProgram C = compileProgramOnly(*P);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  const ProgramInput &Input = P->Inputs.front();
+  RunResult Full = runProgram(C.unit(), *C.Cfgs, Input,
+                              engineOptions(InterpEngine::Bytecode));
+  ASSERT_GT(Full.StepsExecuted, 0u);
+  Prng Rng(0x5eed5eedULL);
+  for (int K = 0; K < 20; ++K) {
+    InterpOptions Limits;
+    Limits.MaxSteps = 1 + Rng.nextBelow(Full.StepsExecuted);
+    runThreeWay(C, Input, Limits,
+                P->Name + " MaxSteps=" + std::to_string(Limits.MaxSteps));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPrograms, NativeDiffTest,
                          ::testing::ValuesIn([] {
                            std::vector<std::string> Names;
@@ -283,6 +307,214 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, NativeDiffTest,
                            return Names;
                          }()),
                          [](const auto &Info) { return Info.param; });
+
+/// Compiles a test program that is not part of the suite (the program
+/// record must outlive the compiled result, which points into it).
+CompiledSuiteProgram compileSource(const std::string &Name,
+                                   const std::string &Source) {
+  static std::vector<std::unique_ptr<SuiteProgram>> Keep;
+  Keep.push_back(std::make_unique<SuiteProgram>());
+  Keep.back()->Name = Name;
+  Keep.back()->Source = Source;
+  return compileProgramOnly(*Keep.back());
+}
+
+/// Every BinaryOp over int, double, data-pointer, null-pointer and
+/// function-pointer operands. Input 0 runs the non-failing matrix; each
+/// other input selects one failing case (a run fails once, so one case
+/// per run). The native tier inlines only the int-int fast path of each
+/// operator; this pins the split between that path and the generic one.
+const char *const kOperatorMatrix = R"(
+struct S { int x; int y; };
+int garr[4];
+struct S gs[3];
+int f1(int x) { return x + 1; }
+int f2(int x) { return x * 2; }
+void pi(int v) { print_int(v); print_char(' '); }
+void pd(double v) { print_double(v); print_char(' '); }
+
+void ints(int a, int b) {
+  int c;
+  pi(a + b); pi(a - b); pi(a * b);
+  if (b != 0 && !(b == -1 && a == (1 << 63))) { pi(a / b); pi(a % b); }
+  if (b >= 0 && b <= 63) { pi(a << b); pi(a >> b); }
+  pi(a & b); pi(a | b); pi(a ^ b);
+  pi(a < b); pi(a > b); pi(a <= b); pi(a >= b); pi(a == b); pi(a != b);
+  c = a; c += b; c -= 3; c *= b; c ^= a; pi(c);
+  print_char('\n');
+}
+
+void dbls(double x, double y) {
+  pd(x + y); pd(x - y); pd(x * y);
+  if (y != 0.0) pd(x / y);
+  pi(x < y); pi(x > y); pi(x <= y); pi(x >= y); pi(x == y); pi(x != y);
+  print_char('\n');
+}
+
+void mixed(int a, double y) {
+  pd(a + y); pd(y + a); pd(a - y); pd(y - a); pd(a * y); pd(y * a);
+  if (y != 0.0) pd(a / y);
+  if (a != 0) pd(y / a);
+  pi(a < y); pi(y < a); pi(a >= y); pi(a == y); pi(y != a);
+  print_char('\n');
+}
+
+void ptrs(int *p, int *q, int n) {
+  int *r;
+  r = p + n; pi(*r);
+  r = n + p; pi(*r);
+  r = r - 1; pi(*r);
+  r += 1; r -= 2; pi(r - p);
+  pi(q - p); pi(p - q);
+  pi(p < q); pi(p > q); pi(p <= q); pi(p >= q); pi(p == q); pi(p != q);
+  pi(p == 0); pi(p != 0); pi(0 == p); pi(p == NULL);
+  print_char('\n');
+}
+
+void other(int *p, int *q) {
+  pi(p < q); pi(p > q); pi(p <= q); pi(p >= q); pi(p == q); pi(p != q);
+  print_char('\n');
+}
+
+int main() {
+  int sel = read_int();
+  int loc[4];
+  int i;
+  int *z = NULL;
+  int *h = malloc(4);
+  int (*fa)(int) = f1;
+  int (*fb)(int) = f2;
+  int (*fz)(int) = 0;
+  struct S *s;
+  int m = 1 << 63;
+  int zero = sel - sel;
+  int neg = zero - 1;
+  for (i = 0; i < 4; i++) { loc[i] = i * 10; garr[i] = i + 100; h[i] = i + 7; }
+  if (sel == 0) {
+    ints(7, 3); ints(-7, 3); ints(7, -1); ints(m, 1); ints(m, -2);
+    ints(0, 5); ints(5, 0); ints(-1, 63); ints(1, 64); ints(m, m);
+    dbls(1.5, 0.25); dbls(-2.0, 3.0); dbls(0.5, 0.5); dbls(1.0, 0.0);
+    mixed(3, 0.5); mixed(0, -2.5); mixed(-4, 0.0); mixed(2, 2.0);
+    ptrs(loc, loc + 3, 2); ptrs(garr, garr + 1, 1); ptrs(h, h + 2, 3);
+    other(loc, garr); other(garr, loc); other(h, loc); other(z, loc);
+    other(z, z); other(h, h + 1);
+    pi(z == 0); pi(z != 0); pi(z == NULL); pi(z + 1 == z); pi(z - z);
+    s = gs + 2; pi(s - gs); s = s - 1; pi(s - gs); pi(s > gs);
+    pi(fa == fb); pi(fa == fa); pi(fa != fb); pi(fz == 0); pi(fa == 0);
+    pi(0 != fa); pi(fz == NULL); pi(fz != fa); pi(fa < fb); pi(fz < fa);
+    pi(fa(3) + fb(4));
+    print_char('\n');
+    return 0;
+  }
+  print_str("case ");
+  print_int(sel);
+  print_char('\n');
+  if (sel == 1) pi(7 / zero);
+  if (sel == 2) pi(7 % zero);
+  if (sel == 3) pi(m / neg);
+  if (sel == 4) pi(m % neg);
+  if (sel == 5) pi(1 << neg);
+  if (sel == 6) pi(1 >> neg);
+  if (sel == 7) pi(1 << (zero + 64));
+  if (sel == 8) pi(1 >> (zero + 64));
+  if (sel == 9) pd(1.5 / (zero * 1.0));
+  if (sel == 10) pd(sel / (zero * 1.0));
+  if (sel == 11) pi(loc - garr);
+  if (sel == 12) pi(h - loc);
+  if (sel == 13) { i = 5; i /= zero; }
+  if (sel == 14) { i = 5; i %= zero; }
+  if (sel == 15) { i = m; i /= neg; }
+  if (sel == 16) { i = 1; i <<= 99; }
+  print_str("unreachable\n");
+  return 0;
+}
+)";
+
+/// The diagnostic each input of kOperatorMatrix ends with.
+const char *const kOperatorErrors[] = {
+    "",
+    "integer division by zero",
+    "integer remainder by zero",
+    "integer division overflow",
+    "integer remainder overflow",
+    "shift amount out of range",
+    "shift amount out of range",
+    "shift amount out of range",
+    "shift amount out of range",
+    "floating division by zero",
+    "floating division by zero",
+    "subtracting pointers into different objects",
+    "subtracting pointers into different objects",
+    "integer division by zero",
+    "integer remainder by zero",
+    "integer division overflow",
+    "shift amount out of range",
+};
+
+TEST(NativeDiff, OperatorMatrixMatchesBothEngines) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  CompiledSuiteProgram C = compileSource("opmatrix", kOperatorMatrix);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  for (int Sel = 0; Sel < static_cast<int>(std::size(kOperatorErrors));
+       ++Sel) {
+    ProgramInput In;
+    In.Name = "sel" + std::to_string(Sel);
+    In.Text = std::to_string(Sel);
+    RunResult B = runProgram(C.unit(), *C.Cfgs, In,
+                             engineOptions(InterpEngine::Bytecode));
+    // Input 0 completes; every other input ends in its failing case.
+    EXPECT_EQ(B.Ok, Sel == 0) << In.Name << ": " << B.Error;
+    EXPECT_EQ(B.Error, kOperatorErrors[Sel]) << In.Name;
+    EXPECT_EQ(B.Output.find("unreachable"), std::string::npos) << In.Name;
+    runThreeWay(C, In, InterpOptions{}, "opmatrix/" + In.Name);
+  }
+}
+
+/// A small program with loads, stores, binops, a switch, calls and
+/// builtins, stopped by a step limit at every one of its steps: all
+/// three engines must stop at the same op with the same steps, error
+/// text, output and partial profile.
+TEST(NativeDiff, EveryStepLimitMatchesBothEngines) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  CompiledSuiteProgram C = compileSource("stepsweep", R"(
+int g[8];
+int sq(int x) { return x * x; }
+int main() {
+  int i;
+  int acc = read_int();
+  int *p = malloc(3);
+  for (i = 0; i < 6; i++) {
+    switch (i % 3) {
+    case 0: g[i] = sq(i) + acc; break;
+    case 1: g[i] = g[i - 1] << 2; p[1] = g[i]; break;
+    default: acc += g[i - 1] / 3; acc++;
+    }
+    print_int(g[i]);
+    print_char(' ');
+  }
+  free(p);
+  print_double(acc * 0.5);
+  return acc % 7;
+}
+)");
+  ASSERT_TRUE(C.Ok) << C.Error;
+  ProgramInput In;
+  In.Text = "5";
+  RunResult Full = runProgram(C.unit(), *C.Cfgs, In,
+                              engineOptions(InterpEngine::Bytecode));
+  ASSERT_TRUE(Full.Ok) << Full.Error;
+  ASSERT_GT(Full.StepsExecuted, 50u);
+  for (uint64_t MaxSteps = 1; MaxSteps <= Full.StepsExecuted; ++MaxSteps) {
+    InterpOptions Limits;
+    Limits.MaxSteps = MaxSteps;
+    runThreeWay(C, In, Limits,
+                "stepsweep MaxSteps=" + std::to_string(MaxSteps));
+  }
+}
 
 /// Runs the suite at jobs 1 and 4 under \p Options and requires the
 /// parallel run to be observationally identical to the serial one: same
