@@ -5,21 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// google-benchmark timings for the three execution tiers: per suite
+/// The three execution tiers, one shot over the whole suite: per
 /// program, the AST tree-walker vs. the bytecode VM vs. the compiled-C
-/// native tier on the program's first input, plus the cost of the
-/// one-time bytecode lowering itself. The run_bytecode / run_native
-/// ratio is the native speedup reported in docs/PERFORMANCE.md.
+/// native tier on the program's first input (best of 3), the one-time
+/// bytecode lowering and native host-cc compile costs, and the
+/// compile+run amortization curve (after how many runs does paying the
+/// native compile beat re-running the bytecode VM). The bytecode /
+/// native ratio is the native speedup reported in docs/PERFORMANCE.md.
 ///
-/// Besides the google-benchmark surface, `--tiers-json FILE` runs a
-/// one-shot three-tier comparison over the whole suite and writes a
-/// sest-interp-tiers/1 document: per-program wall times for all tiers,
-/// the native host-cc compile cost, and the compile+run amortization
-/// curve (after how many runs does paying the native compile beat
-/// re-running the bytecode VM), plus its advisory gates (bytecode over
-/// native at least 3x, suite native ms within 3x of the baseline; none
-/// without a host C compiler). That file is the checked-in
-/// bench/interp_tiers.json baseline; bench_history.py reads it too.
+/// `--tiers-json FILE` writes the comparison as a sest-interp-tiers/1
+/// document with its advisory gates (bytecode over native at least 3x,
+/// suite native ms within 3x of the baseline; none without a host C
+/// compiler). That file is the checked-in bench/interp_tiers.json
+/// baseline; bench_history.py reads it too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +30,6 @@
 #include "lang/Parser.h"
 #include "support/Gates.h"
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <string>
 
@@ -42,11 +38,7 @@ using namespace sest::bench;
 
 namespace {
 
-const SuiteProgram &programByIndex(int64_t I) {
-  return benchmarkSuite()[static_cast<size_t>(I)];
-}
-
-/// Compiled once per benchmark; runs share it like the suite runner.
+/// Compiled once per program; runs share it like the suite runner.
 struct Prepared {
   AstContext Ctx;
   CfgModule Cfgs;
@@ -56,101 +48,6 @@ struct Prepared {
     return CfgModule::build(Ctx.unit(), Diags);
   }()) {}
 };
-
-void BM_RunAst(benchmark::State &State) {
-  const SuiteProgram &P = programByIndex(State.range(0));
-  State.SetLabel(P.Name);
-  Prepared Prep(P);
-  InterpOptions Options;
-  Options.Engine = InterpEngine::Ast;
-  uint64_t Steps = 0;
-  for (auto _ : State) {
-    RunResult R = runProgram(Prep.Ctx.unit(), Prep.Cfgs, P.Inputs.front(),
-                             Options);
-    Steps = R.StepsExecuted;
-    benchmark::DoNotOptimize(R.ExitCode);
-  }
-  State.counters["steps"] = static_cast<double>(Steps);
-  State.counters["steps/s"] = benchmark::Counter(
-      static_cast<double>(Steps), benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void BM_RunBytecode(benchmark::State &State) {
-  const SuiteProgram &P = programByIndex(State.range(0));
-  State.SetLabel(P.Name);
-  Prepared Prep(P);
-  bc::BcModule Module = bc::compileBytecode(Prep.Ctx.unit(), Prep.Cfgs);
-  InterpOptions Options;
-  uint64_t Steps = 0;
-  for (auto _ : State) {
-    RunResult R = bc::runProgramBytecode(Prep.Ctx.unit(), Prep.Cfgs, Module,
-                                         P.Inputs.front(), Options);
-    Steps = R.StepsExecuted;
-    benchmark::DoNotOptimize(R.ExitCode);
-  }
-  State.counters["steps"] = static_cast<double>(Steps);
-  State.counters["steps/s"] = benchmark::Counter(
-      static_cast<double>(Steps), benchmark::Counter::kIsIterationInvariantRate);
-}
-
-/// Native artifact compiled once outside the timing loop (like the suite
-/// runner's pool); the loop times pure execution. The one-time host-cc
-/// cost is reported as the "compile_ms" counter, not folded into
-/// real_time — the amortization curve in --tiers-json combines the two.
-void BM_RunNative(benchmark::State &State) {
-  const SuiteProgram &P = programByIndex(State.range(0));
-  State.SetLabel(P.Name);
-  Prepared Prep(P);
-  bc::BcModule Module = bc::compileBytecode(Prep.Ctx.unit(), Prep.Cfgs);
-  std::string Err;
-  std::shared_ptr<const backend::NativeArtifact> Artifact =
-      backend::cBackend().compile(Prep.Ctx.unit(), Prep.Cfgs, Module, {},
-                                  &Err);
-  if (!Artifact) {
-    State.SkipWithError(("native compile failed: " + Err).c_str());
-    return;
-  }
-  InterpOptions Options;
-  Options.Engine = InterpEngine::Native;
-  uint64_t Steps = 0;
-  for (auto _ : State) {
-    RunResult R = Artifact->run(Prep.Ctx.unit(), Prep.Cfgs, P.Inputs.front(),
-                                Options);
-    Steps = R.StepsExecuted;
-    benchmark::DoNotOptimize(R.ExitCode);
-  }
-  State.counters["steps"] = static_cast<double>(Steps);
-  State.counters["steps/s"] = benchmark::Counter(
-      static_cast<double>(Steps), benchmark::Counter::kIsIterationInvariantRate);
-  State.counters["compile_ms"] = Artifact->compileMs();
-}
-
-void BM_BytecodeCompile(benchmark::State &State) {
-  const SuiteProgram &P = programByIndex(State.range(0));
-  State.SetLabel(P.Name);
-  Prepared Prep(P);
-  for (auto _ : State) {
-    bc::BcModule Module = bc::compileBytecode(Prep.Ctx.unit(), Prep.Cfgs);
-    benchmark::DoNotOptimize(Module.NumInstrs);
-  }
-}
-
-void registerAll() {
-  bool Native = backend::nativeEngineAvailable();
-  int64_t N = static_cast<int64_t>(benchmarkSuite().size());
-  for (int64_t I = 0; I < N; ++I) {
-    benchmark::RegisterBenchmark("run_ast", BM_RunAst)->Arg(I);
-    benchmark::RegisterBenchmark("run_bytecode", BM_RunBytecode)->Arg(I);
-    if (Native)
-      benchmark::RegisterBenchmark("run_native", BM_RunNative)->Arg(I);
-    benchmark::RegisterBenchmark("bytecode_compile", BM_BytecodeCompile)
-        ->Arg(I);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// --tiers-json: the one-shot three-tier suite comparison.
-//===----------------------------------------------------------------------===//
 
 double nowMs() {
   using Clock = std::chrono::steady_clock;
@@ -226,9 +123,8 @@ int runTiersReport(const std::string &Path) {
 
     InterpOptions BcOptions;
     S.BytecodeMs = bestOfMs(3, [&] {
-      RunResult R = bc::runProgramBytecode(
-          Prep.Ctx.unit(), Prep.Cfgs, Module, P.Inputs.front(), BcOptions);
-      benchmark::DoNotOptimize(R.ExitCode);
+      bc::runProgramBytecode(Prep.Ctx.unit(), Prep.Cfgs, Module,
+                             P.Inputs.front(), BcOptions);
     });
 
     if (NativeAvailable) {
@@ -242,9 +138,8 @@ int runTiersReport(const std::string &Path) {
         InterpOptions NativeOptions;
         NativeOptions.Engine = InterpEngine::Native;
         S.NativeMs = bestOfMs(3, [&] {
-          RunResult R = Artifact->run(Prep.Ctx.unit(), Prep.Cfgs,
-                                      P.Inputs.front(), NativeOptions);
-          benchmark::DoNotOptimize(R.ExitCode);
+          Artifact->run(Prep.Ctx.unit(), Prep.Cfgs, P.Inputs.front(),
+                        NativeOptions);
         });
       } else {
         out("  " + P.Name + ": native compile failed: " + Err + "\n");
@@ -345,13 +240,15 @@ int runTiersReport(const std::string &Path) {
   }
   W.endObject();
 
-  std::ofstream OutFile(Path);
-  if (!OutFile) {
-    out("bench_interp: cannot write '" + Path + "'\n");
-    return 1;
+  if (!Path.empty()) {
+    std::ofstream OutFile(Path);
+    if (!OutFile) {
+      out("bench_interp: cannot write '" + Path + "'\n");
+      return 1;
+    }
+    OutFile << W.str();
+    out("tier report written to " + Path + "\n");
   }
-  OutFile << W.str();
-  out("tier report written to " + Path + "\n");
   if (AllNative) {
     out("suite: bytecode-over-native " +
         formatDouble(SuiteBc / SuiteNative, 2) + "x, break-even " +
@@ -367,18 +264,9 @@ int runTiersReport(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (std::string_view(argv[I]) == "--tiers-json") {
-      if (I + 1 >= argc) {
-        out("bench_interp: --tiers-json needs a file argument\n");
-        return 2;
-      }
-      return runTiersReport(argv[I + 1]);
-    }
-  }
-  registerAll();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::string JsonPath;
+  for (int I = 1; I + 1 < argc; ++I)
+    if (std::string_view(argv[I]) == "--tiers-json")
+      JsonPath = argv[I + 1];
+  return runTiersReport(JsonPath);
 }

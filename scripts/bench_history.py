@@ -9,8 +9,13 @@ native-over-bytecode execution-tier speedup with its compile
 break-even), and tune_report.json (the autotuner's static-search
 recovery, winning-config agreement, and mean regret) — condenses them
 into one history entry, appends it to ``bench/history.jsonl``, and
-prints the deltas against the previous entry so a regression is
-visible the moment the history grows.
+prints the deltas against the last entry from the same host so a
+regression is visible the moment the history grows.
+
+Each entry records its ``host`` (CPU model, vCPUs, cc version): wall
+times from two machines are not comparable, so deltas are printed only
+between entries of one host. Entries without a host count as an
+unknown host and are never compared.
 
 The history is line-delimited JSON (one entry per line, schema
 ``sest-bench-history/1``) so it diffs cleanly, appends atomically, and
@@ -72,6 +77,28 @@ def git_revision(repo_root):
     except OSError:
         pass
     return "unknown"
+
+
+def host_info():
+    """The machine the reports were measured on."""
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    cc = "unknown"
+    try:
+        out = subprocess.run(["cc", "--version"], capture_output=True,
+                             text=True, timeout=10)
+        if out.returncode == 0 and out.stdout:
+            cc = out.stdout.splitlines()[0].strip()
+    except OSError:
+        pass
+    return {"cpu": cpu, "vcpus": os.cpu_count() or 0, "cc": cc}
 
 
 def collect_entry(bench_dir):
@@ -141,6 +168,8 @@ def read_history(path):
 
 
 def print_deltas(prev, cur):
+    if prev is None:
+        print("bench_history: no earlier entry on this host")
     print(f"{'metric':<28} {'previous':>14} {'current':>14} {'delta':>10}")
     for key, _, higher_better in HEADLINES:
         if key not in cur:
@@ -181,11 +210,13 @@ def main():
               file=sys.stderr)
         return 1
     entry["git"] = git_revision(repo_root)
+    entry["host"] = host_info()
     if args.label:
         entry["label"] = args.label
 
     history = read_history(history_path)
-    prev = history[-1] if history else None
+    same_host = [e for e in history if e.get("host") == entry["host"]]
+    prev = same_host[-1] if same_host else None
 
     print_deltas(prev, entry)
 

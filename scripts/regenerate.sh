@@ -32,13 +32,9 @@ ctest --test-dir "$BUILD" -j"$(nproc)" 2>&1 | tee test_output.txt
 # from that run.
 baseline_args() {
   case "$1" in
-    # Optimizer and autotuner outcomes (docs/OPTIMIZATION.md,
-    # docs/TUNING.md): no wall-clock fields, so these are diff-clean on
-    # any machine unless decisions actually changed.
-    bench_opt) echo --json bench/opt_report.json ;;
-    bench_tune) echo --json bench/tune_report.json ;;
     # Wall-clock: expect the numbers to move between machines; their
     # gates are advisory with 3x slack.
+    bench_interp) echo --tiers-json bench/interp_tiers.json ;;
     bench_pipeline_latency) echo --json bench/pipeline_latency.json ;;
     bench_service) echo --json bench/service_throughput.json ;;
   esac
@@ -52,22 +48,27 @@ for b in "$BUILD"/bench/bench_*; do
   echo
 done 2>&1 | tee bench_output.txt
 
-# Two baselines come from a narrower run than the loop's, as in CI: the
-# solver / pipeline scaling benchmarks only, and the one-shot three-tier
-# comparison (--tiers-json skips the google-benchmark run).
+# One baseline comes from a narrower run than the loop's, as in CI: the
+# solver / pipeline scaling benchmarks only.
 "$BUILD"/bench/bench_analysis_time --benchmark_filter='solver|pipeline' \
   --json bench/analysis_time.json
-"$BUILD"/bench/bench_interp --tiers-json bench/interp_tiers.json
 
-# Refresh the checked-in suite run report (per-program compile time,
-# per-input wall time and resource usage; step counts are hard gates)
-# and the accuracy baseline (per-entity divergence attribution; see
-# docs/OBSERVABILITY.md).
+# One suite profiling pass refreshes three baselines: the run report
+# (per-program compile time, per-input wall time and resource usage;
+# step counts are hard gates), the accuracy baseline (per-entity
+# divergence attribution; see docs/OBSERVABILITY.md) and the optimizer
+# scoring (docs/OPTIMIZATION.md). Then the autotuner's full-suite search
+# (docs/TUNING.md). The optimizer and autotuner reports have no
+# wall-clock fields, so they are diff-clean on any machine unless
+# decisions actually changed.
 "$BUILD"/tools/sestc --suite \
   --report bench/suite_report.json \
-  --accuracy-report bench/accuracy_report.json
+  --accuracy-report bench/accuracy_report.json \
+  --optimize all --opt-report bench/opt_report.json
+"$BUILD"/tools/sestune --budget 24 --report bench/tune_report.json
 
 # Record the refreshed headline numbers (service rps, solver speedup,
-# stage p99s) in the bench history, with deltas vs the previous entry
-# (see scripts/bench_history.py; history is bench/history.jsonl).
+# stage p99s) in the bench history, with deltas vs the last entry from
+# the same host (see scripts/bench_history.py; history is
+# bench/history.jsonl).
 python3 "$ROOT"/scripts/bench_history.py

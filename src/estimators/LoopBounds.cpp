@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 using namespace sest;
 
@@ -129,7 +130,9 @@ std::optional<int64_t> stepInfo(const Expr *Step, const VarDecl *V) {
       return std::nullopt;
     if (*A->compoundOp() == BinaryOp::Add)
       return *C;
-    if (*A->compoundOp() == BinaryOp::Sub)
+    // "i -= INT64_MIN" has no positive counterpart: not counted.
+    if (*A->compoundOp() == BinaryOp::Sub &&
+        *C != std::numeric_limits<int64_t>::min())
       return -*C;
   }
   return std::nullopt;
@@ -260,10 +263,11 @@ std::optional<double> sest::constantTripCount(const ForStmt *S,
   if (bodyWritesVar(S->body(), Init->Var))
     return std::nullopt;
 
-  // Normalize everything to an upward count.
-  int64_t Start = Init->Start;
-  int64_t Limit = B->Limit;
-  int64_t Stride = *Step;
+  // Normalize everything to an upward count, in 128 bits: negating
+  // INT64_MIN, or the span of two 64-bit bounds, need not fit in 64.
+  __int128 Start = Init->Start;
+  __int128 Limit = B->Limit;
+  __int128 Stride = *Step;
   BinaryOp Op = B->Op;
   if (Stride < 0) {
     // "for (i = hi; i > lo; i -= s)"  ≡  count from -hi up to -lo.
@@ -280,7 +284,7 @@ std::optional<double> sest::constantTripCount(const ForStmt *S,
     return std::nullopt; // "i > hi" with a positive step: not counted
   }
 
-  int64_t Span = Limit - Start + (Op == BinaryOp::Le ? 1 : 0);
+  __int128 Span = Limit - Start + (Op == BinaryOp::Le ? 1 : 0);
   if (Span <= 0)
     return 0.0;
   double Trips = std::ceil(static_cast<double>(Span) /

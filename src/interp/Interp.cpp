@@ -360,7 +360,7 @@ Loc Interpreter::evalLValue(const Expr *E) {
     if (Stride <= 0)
       Stride = 1;
     return {Base.PtrVal.Space,
-            Base.PtrVal.Offset + Idx.asInt() * Stride};
+            wrapAdd(Base.PtrVal.Offset, wrapMul(Idx.asInt(), Stride))};
   }
   case ExprKind::Member: {
     const auto *M = exprCast<MemberExpr>(E);
@@ -415,7 +415,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     Value V = evalExpr(E->operand());
     if (V.isDouble())
       return Value::makeDouble(-V.DoubleVal);
-    return Value::makeInt(-V.asInt());
+    return Value::makeInt(wrapNeg(V.asInt()));
   }
   case UnaryOp::LogicalNot: {
     Value V = evalExpr(E->operand());
@@ -439,12 +439,12 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     if (Old.isPtr()) {
       int64_t Stride = strideOf(E->operand()->type());
       RuntimePtr P = Old.PtrVal;
-      P.Offset += IsInc ? Stride : -Stride;
+      P.Offset = wrapAdd(P.Offset, IsInc ? Stride : -Stride);
       New = Value::makePtr(P);
     } else if (Old.isDouble()) {
       New = Value::makeDouble(Old.DoubleVal + (IsInc ? 1.0 : -1.0));
     } else {
-      New = Value::makeInt(Old.asInt() + (IsInc ? 1 : -1));
+      New = Value::makeInt(wrapAdd(Old.asInt(), IsInc ? 1 : -1));
     }
     storeCell(L, New);
     return IsPre ? New : Old;

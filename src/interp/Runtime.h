@@ -26,12 +26,12 @@
 
 #include "interp/Interp.h"
 #include "support/Prng.h"
+#include "support/WrapArith.h"
 
 #include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -260,7 +260,7 @@ protected:
         Value P = L.isPtr() ? L : R;
         Value N = L.isPtr() ? R : L;
         RuntimePtr Out = P.PtrVal;
-        Out.Offset += N.asInt() * ResultStride;
+        Out.Offset = wrapAdd(Out.Offset, wrapMul(N.asInt(), ResultStride));
         return Value::makePtr(Out);
       }
       if (L.isDouble() || R.isDouble())
@@ -276,7 +276,7 @@ protected:
       }
       if (L.isPtr()) {
         RuntimePtr Out = L.PtrVal;
-        Out.Offset -= R.asInt() * ResultStride;
+        Out.Offset = wrapSub(Out.Offset, wrapMul(R.asInt(), ResultStride));
         return Value::makePtr(Out);
       }
       if (L.isDouble() || R.isDouble())
@@ -387,27 +387,6 @@ protected:
       break;
     }
     return Value::makeInt(0);
-  }
-
-  /// INT64_MIN / -1 (and its remainder) does not fit in 64 bits; the host
-  /// division would trap.
-  /// Mini-C int +, - and * wrap modulo 2^64, as -fwrapv makes them in
-  /// the native tier; computed in uint64_t so the host never overflows.
-  static int64_t wrapAdd(int64_t L, int64_t R) {
-    return static_cast<int64_t>(static_cast<uint64_t>(L) +
-                                static_cast<uint64_t>(R));
-  }
-  static int64_t wrapSub(int64_t L, int64_t R) {
-    return static_cast<int64_t>(static_cast<uint64_t>(L) -
-                                static_cast<uint64_t>(R));
-  }
-  static int64_t wrapMul(int64_t L, int64_t R) {
-    return static_cast<int64_t>(static_cast<uint64_t>(L) *
-                                static_cast<uint64_t>(R));
-  }
-
-  static bool isQuotientOverflow(int64_t L, int64_t R) {
-    return R == -1 && L == std::numeric_limits<int64_t>::min();
   }
 
   //===--------------------------------------------------------------------===//

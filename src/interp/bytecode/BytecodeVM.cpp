@@ -284,7 +284,8 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
       goto VmHalt;
     }
     R[I.A] = Value::makePtr(
-        {Base.PtrVal.Space, Base.PtrVal.Offset + R[I.C].asInt() * I.X});
+        {Base.PtrVal.Space,
+         wrapAdd(Base.PtrVal.Offset, wrapMul(R[I.C].asInt(), I.X))});
   }
   SEST_NEXT();
 
@@ -357,7 +358,7 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
     const BcInstr &I = *IP++;
     const Value &V = R[I.B];
     R[I.A] = V.isDouble() ? Value::makeDouble(-V.DoubleVal)
-                          : Value::makeInt(-V.asInt());
+                          : Value::makeInt(wrapNeg(V.asInt()));
   }
   SEST_NEXT();
 
@@ -402,12 +403,12 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
     Value New;
     if (Old.isPtr()) {
       RuntimePtr P = Old.PtrVal;
-      P.Offset += IsInc ? I.X : -I.X;
+      P.Offset = wrapAdd(P.Offset, IsInc ? I.X : -I.X);
       New = Value::makePtr(P);
     } else if (Old.isDouble()) {
       New = Value::makeDouble(Old.DoubleVal + (IsInc ? 1.0 : -1.0));
     } else {
-      New = Value::makeInt(Old.asInt() + (IsInc ? 1 : -1));
+      New = Value::makeInt(wrapAdd(Old.asInt(), IsInc ? 1 : -1));
     }
     storeCell(L, New);
     if (halted())

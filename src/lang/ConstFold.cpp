@@ -6,8 +6,9 @@
 
 #include "lang/ConstFold.h"
 
+#include "support/WrapArith.h"
+
 #include <cmath>
-#include <limits>
 
 using namespace sest;
 
@@ -19,7 +20,7 @@ static std::optional<ConstValue> foldUnary(const UnaryExpr *U) {
   case UnaryOp::Neg:
     if (Operand->IsDouble)
       return ConstValue::makeDouble(-Operand->DoubleVal);
-    return ConstValue::makeInt(-Operand->IntVal);
+    return ConstValue::makeInt(wrapNeg(Operand->IntVal));
   case UnaryOp::LogicalNot:
     return ConstValue::makeInt(Operand->isTruthy() ? 0 : 1);
   case UnaryOp::BitNot:
@@ -29,11 +30,6 @@ static std::optional<ConstValue> foldUnary(const UnaryExpr *U) {
   default:
     return std::nullopt; // Deref/AddrOf/inc/dec touch memory.
   }
-}
-
-/// INT64_MIN / -1 (and its remainder) does not fit in 64 bits.
-static bool isQuotientOverflow(const ConstValue &L, const ConstValue &R) {
-  return R.IntVal == -1 && L.IntVal == std::numeric_limits<int64_t>::min();
 }
 
 static std::optional<ConstValue> foldBinary(const BinaryExpr *B) {
@@ -64,24 +60,25 @@ static std::optional<ConstValue> foldBinary(const BinaryExpr *B) {
   case BinaryOp::Add:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() + R->asDouble());
-    return ConstValue::makeInt(L->IntVal + R->IntVal);
+    return ConstValue::makeInt(wrapAdd(L->IntVal, R->IntVal));
   case BinaryOp::Sub:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() - R->asDouble());
-    return ConstValue::makeInt(L->IntVal - R->IntVal);
+    return ConstValue::makeInt(wrapSub(L->IntVal, R->IntVal));
   case BinaryOp::Mul:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() * R->asDouble());
-    return ConstValue::makeInt(L->IntVal * R->IntVal);
+    return ConstValue::makeInt(wrapMul(L->IntVal, R->IntVal));
   case BinaryOp::Div:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() / R->asDouble());
     // Zero divisors and INT64_MIN / -1 fail at run time; leave them to it.
-    if (R->IntVal == 0 || isQuotientOverflow(*L, *R))
+    if (R->IntVal == 0 || isQuotientOverflow(L->IntVal, R->IntVal))
       return std::nullopt;
     return ConstValue::makeInt(L->IntVal / R->IntVal);
   case BinaryOp::Rem:
-    if (AnyDouble || R->IntVal == 0 || isQuotientOverflow(*L, *R))
+    if (AnyDouble || R->IntVal == 0 ||
+        isQuotientOverflow(L->IntVal, R->IntVal))
       return std::nullopt;
     return ConstValue::makeInt(L->IntVal % R->IntVal);
   case BinaryOp::Shl:

@@ -21,6 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 using namespace sest;
 using namespace sest::test;
 
@@ -183,6 +186,67 @@ TEST(LoopBounds, ExactCountsImproveMarkovAccuracy) {
   }
   EXPECT_NEAR(BodyBase, 4.0, 1e-6);
   EXPECT_NEAR(BodyRefined, 100.0, 1e-6);
+}
+
+//===----------------------------------------------------------------------===//
+// Adversarial constants: the counted-loop estimate folds and counts them
+// in wrapping 64-bit arithmetic, never overflowing a signed host value.
+//===----------------------------------------------------------------------===//
+
+/// The predictions for function f in \p Source under the counted-loop
+/// estimator (sestc --counted-loops), keyed by heuristic name.
+std::map<std::string, BranchPrediction>
+countedLoopPredictions(const std::string &Source) {
+  auto C = compile(Source);
+  if (!C) {
+    ADD_FAILURE();
+    return {};
+  }
+  BranchPredictorConfig Config;
+  Config.UseConstantLoopBounds = true;
+  std::map<std::string, BranchPrediction> ByHeuristic;
+  for (const auto &[Id, Pred] :
+       BranchPredictor(Config).predictFunction(*C->cfg("f")).ByBlock)
+    ByHeuristic[Pred.Heuristic] = Pred;
+  return ByHeuristic;
+}
+
+TEST(AdversarialConstants, FoldedIntArithmeticWraps) {
+  // Each condition holds only under wrapping: INT64_MAX + 1, INT64_MIN -
+  // 1, INT64_MAX * 2 and -INT64_MIN all overflow 64 bits.
+  for (const char *Cond : {"9223372036854775807 + 1 < 0",
+                           "0 - 9223372036854775807 - 2 > 0",
+                           "9223372036854775807 * 2 == -2",
+                           "-(0 - 9223372036854775807 - 1) < 0"}) {
+    auto P = countedLoopPredictions(
+        std::string("int f() { int s = 0;\n  if (") + Cond +
+        ") s = 1;\n  for (int i = 0; i < 10; i++) s += i;\n"
+        "  return s; }\nint main() { return f(); }");
+    ASSERT_TRUE(P.count("constant")) << Cond;
+    EXPECT_TRUE(P["constant"].PredictTrue) << Cond;
+    EXPECT_TRUE(P.count("counted-loop")) << Cond;
+  }
+}
+
+TEST(AdversarialConstants, LoopSpanWiderThanInt64IsCounted) {
+  BranchPredictorConfig Defaults;
+  const double Cap = Defaults.MaxConstantTrips;
+  for (const char *Loop :
+       {"for (int i = 0 - 9223372036854775807; i < 9223372036854775807;"
+        " i++) s += i;",
+        "for (int i = 9223372036854775807; i > 0 - 9223372036854775807 - 1;"
+        " i--) s += i;"}) {
+    auto P = countedLoopPredictions(
+        std::string("int f() { int s = 0;\n  ") + Loop +
+        "\n  return s; }\nint main() { return f(); }");
+    ASSERT_TRUE(P.count("counted-loop")) << Loop;
+    EXPECT_NEAR(P["counted-loop"].ProbTrue, Cap / (Cap + 1.0), 1e-12)
+        << Loop;
+  }
+  // A step of -INT64_MIN has no positive counterpart: not counted.
+  EXPECT_FALSE(tripsOf("for (int i = 0; i > -10;"
+                       " i -= 0 - 9223372036854775807 - 1) s += i;")
+                   .has_value());
 }
 
 //===----------------------------------------------------------------------===//

@@ -254,6 +254,25 @@ TEST(Interp, ReadIntWrapsOutOfRangeInput) {
   EXPECT_EQ(R.Output, "200376420520689663 -200376420520689663");
 }
 
+// Unary minus, ++, -- and pointer offsets wrap modulo 2^64 like +, - and
+// *, identically on every engine (the native tier builds with -fwrapv).
+TEST(Interp, ArithmeticWrapsAtInt64Limits) {
+  RunResult R = runOnEveryEngine(
+      "int main() { int m = 1 << 63; print_int(-m); print_char(' ');\n"
+      "  int x = m - 1; x++; print_int(x); print_char(' ');\n"
+      "  m--; print_int(m); return 0; }");
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Output, "-9223372036854775808 -9223372036854775808 "
+                      "9223372036854775807");
+  // 2 + (2^63 - 1) + 1 + (2^63 - 1) wraps to offset 1.
+  R = runOnEveryEngine(
+      "int main() { int a[3]; a[1] = 7; int *p = &a[2];\n"
+      "  p = p + 9223372036854775807; p++;\n"
+      "  return p[9223372036854775807]; }");
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ExitCode, 7);
+}
+
 TEST(Interp, RandIsDeterministicPerSeed) {
   const char *Src = "int main() { srand(7); return rand() % 1000; }";
   RunResult A = compileAndRun(Src);

@@ -273,6 +273,13 @@ TEST(Service, TuneVerbIsByteIdenticalColdWarmAndAcrossJobs) {
   std::string Cold = S.handle(Req);
   EXPECT_NE(Cold.find("\"ok\":true"), std::string::npos) << Cold;
   EXPECT_NE(Cold.find("sest-tune-report/1"), std::string::npos);
+  // Gates belong to `sestune --report`'s file, not to the response.
+  auto Doc = parseJson(Cold);
+  ASSERT_TRUE(Doc);
+  const JsonValue *Result = Doc->find("result");
+  ASSERT_TRUE(Result);
+  EXPECT_NE(Result->find("schema"), nullptr);
+  EXPECT_EQ(Result->find("gates"), nullptr);
   uint64_t HitsBefore = S.caches().Response.stats().Hits;
   std::string Warm = S.handle(Req);
   EXPECT_EQ(Cold, Warm);

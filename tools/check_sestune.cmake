@@ -4,7 +4,8 @@
 #      document, and write the static winner as sest-tune-config/1;
 #   2. the report must be byte-identical across --jobs 1 and --jobs 8
 #      and across a repeated run (determinism contract of docs/TUNING.md);
-#   3. sestc --validate-json must accept the report;
+#   3. sestc --validate-json must accept the report, and the report must
+#      declare its three gates with their kinds;
 #   4. sestc --tune-config must replay the written winner on a file.
 # Run as: cmake -DSESTUNE=<path> -DSESTC=<path> -DWORKDIR=<dir> \
 #               -P check_sestune.cmake
@@ -46,6 +47,18 @@ file(READ ${WORKDIR}/sestune_j1.json REPORT)
 if(NOT REPORT MATCHES "sest-tune-report/1")
   message(FATAL_ERROR "report is missing its schema marker")
 endif()
+# The gates scripts/check_gates.py evaluates against bench/tune_report.json.
+foreach(GATE "tune.all_verified:hard"
+             "tune.static_search_recovery:advisory"
+             "tune.mean_config_overlap:advisory")
+  string(REPLACE ":" ";" PARTS ${GATE})
+  list(GET PARTS 0 NAME)
+  list(GET PARTS 1 KIND)
+  string(REPLACE "." "\\." NAME_RE ${NAME})
+  if(NOT REPORT MATCHES "\"name\":\"${NAME_RE}\",\"kind\":\"${KIND}\"")
+    message(FATAL_ERROR "report is missing the ${KIND} gate ${NAME}")
+  endif()
+endforeach()
 file(READ ${WORKDIR}/sestune_best.json BEST)
 if(NOT BEST MATCHES "sest-tune-config/1")
   message(FATAL_ERROR "best config is missing its schema marker")

@@ -10,8 +10,10 @@
 /// single mini-C file) under one or more cost oracles, and reports how
 /// much of the profile-guided search's held-out improvement the purely
 /// static search recovers. Writes the byte-deterministic
-/// sest-tune-report/1 document with --report; a winner's best_config
-/// object replays exactly through `sestc --tune-config`.
+/// sest-tune-report/1 document, with the gates scripts/check_gates.py
+/// evaluates, with --report (bench/tune_report.json is `--budget 24` over
+/// the whole suite); a winner's best_config object replays exactly
+/// through `sestc --tune-config`.
 ///
 /// The full option list lives in ONE place — the OptionTable below —
 /// which generates both the usage text and `--help`. See docs/TUNING.md.
@@ -21,6 +23,7 @@
 #include "obs/EventLog.h"
 #include "obs/Telemetry.h"
 #include "suite/SuiteRunner.h"
+#include "support/Gates.h"
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
 #include "tune/Tune.h"
@@ -361,8 +364,16 @@ int runTune(const Options &O) {
     out("error: a tuned winner failed differential verification\n");
 
   if (!O.ReportFile.empty()) {
+    // The gates ride on this file only: tuneReportJson is also the sestd
+    // `tune` response, which carries none.
+    Gates G;
+    G.min("tune.all_verified", Gates::Hard, Report.AllVerified, 1);
+    G.min("tune.static_search_recovery", Gates::Advisory,
+          Report.StaticSearchRecovery, O.Tune.StaticSearchRecoveryFloor);
+    G.slack("tune.mean_config_overlap", Gates::Advisory,
+            Report.MeanConfigOverlap, 0.05, Gates::Higher);
     if (!writeTextFile(O.ReportFile,
-                       tune::tuneReportJson(Report, O.Tune)))
+                       G.appendTo(tune::tuneReportJson(Report, O.Tune))))
       return 1;
     out("tune report written to " + O.ReportFile + "\n");
   }
